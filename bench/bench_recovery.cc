@@ -31,7 +31,6 @@ double Seconds(std::chrono::steady_clock::duration d) {
 
 LocalClusterOptions StreamingOpts() {
   LocalClusterOptions opts;
-  opts.streaming = true;
   opts.scheduler.sink_size = 50;
   return opts;
 }

@@ -8,12 +8,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "sim/calvin_sim.h"
 #include "sim/cost_model.h"
 #include "sim/tpart_sim.h"
@@ -22,46 +21,6 @@
 #include "workload/tpce.h"
 
 namespace tpart::bench {
-
-/// Flag parsing: --name=value strings.
-inline std::string StringFlag(int argc, char** argv, const char* name,
-                              const std::string& def) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return def;
-}
-
-/// Flag parsing: --name=value integers for scaling experiments up/down.
-inline std::int64_t IntFlag(int argc, char** argv, const char* name,
-                            std::int64_t def) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atoll(argv[i] + prefix.size());
-    }
-  }
-  return def;
-}
-
-/// Flag parsing: --name=value doubles (probabilities, ratios).
-inline double DoubleFlag(int argc, char** argv, const char* name,
-                         double def) {
-  const std::string s = StringFlag(argc, argv, name, "");
-  return s.empty() ? def : std::atof(s.c_str());
-}
-
-/// Flag parsing: bare --name presence.
-inline bool BoolFlag(int argc, char** argv, const char* name) {
-  const std::string flag = std::string("--") + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
 
 /// Prints a header line: "== Figure 5(b): ... ==".
 inline void Header(const std::string& title) {

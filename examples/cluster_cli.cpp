@@ -1,10 +1,8 @@
 // Command-line driver: run any bundled workload on any engine, on the
 // simulated cluster or the threaded runtime, and print the statistics.
 //
-//   ./build/examples/cluster_cli --workload=tpce --engine=both \
-//       --machines=8 --txns=5000 --sink=100
-//   ./build/examples/cluster_cli --workload=tpcc --engine=tpart \
-//       --runtime --machines=4 --txns=2000
+//   ./build/examples/cluster_cli --workload=tpce --machines=8 --sink=100
+//   ./build/examples/cluster_cli --workload=tpcc --engine=tpart --runtime
 //
 // Flags:
 //   --workload=micro|tpcc|tpce      (default micro)
@@ -12,16 +10,16 @@
 //   --machines=N                    (default 4)
 //   --txns=N                        (default 5000)
 //   --sink=N                        sink size (default 100)
-//   --runtime                       threaded runtime instead of simulator
+//   --runtime                       threaded runtime instead of simulator;
+//                                   T-Part runs as the streaming pipeline
+//                                   (admit -> schedule -> disseminate ->
+//                                   execute as concurrent bounded stages)
+//                                   and prints stage stats and p50/p99
+//                                   admission-to-commit latency
 //   --gstore                        G-Store emulation (sink 1, write-back)
 //   --transport=direct|inproc|tcp   runtime wire substrate (default direct)
 //   --drop=P --dup=P --delay=P      runtime fault injection probabilities
-//   --stream                        streaming pipeline (runtime T-Part):
-//                                   admit -> schedule -> disseminate ->
-//                                   execute as concurrent bounded stages;
-//                                   prints stage stats and p50/p99
-//                                   admission-to-commit latency
-//   --crash=M@E[,M@E|seq@E...]      (streaming only) comma list of
+//   --crash=M@E[,M@E|seq@E...]      (runtime only) comma list of
 //                                   crash-stops in firing order. M@E
 //                                   crash-stops worker machine M at sink
 //                                   epoch E, detects it via heartbeats,
@@ -37,7 +35,7 @@
 //                                   Worker and seq events compose freely;
 //                                   prints the recovery and failover
 //                                   statistics
-//   --partition=SPEC[;SPEC...]      (streaming only) seeded link
+//   --partition=SPEC[;SPEC...]      (runtime only) seeded link
 //                                   partitions, ';'-separated (group
 //                                   lists use commas). "0,1|2@3..5"
 //                                   severs both directions between {0,1}
@@ -48,7 +46,7 @@
 //                                   retry layer redelivers everything a
 //                                   window swallowed once it heals —
 //                                   results stay byte-identical
-//   --slow-link=SPEC[,SPEC...]      (streaming only) gray-failure slow
+//   --slow-link=SPEC[,SPEC...]      (runtime only) gray-failure slow
 //                                   links: "0->1@2..7:900" delays every
 //                                   packet 0 sends to 1 by a seeded
 //                                   amount up to 900us while epochs 2..6
@@ -56,24 +54,24 @@
 //                                   1500us). The adaptive detector must
 //                                   not declare the slow destination
 //                                   dead
-//   --detector                      (streaming only) arm the phi-accrual
+//   --detector                      (runtime only) arm the phi-accrual
 //                                   failure detector even without --crash:
 //                                   stragglers and slow links are excused
 //                                   while true crash-stops are caught
 //   --no-recover                    with --crash: detect only, surface
 //                                   the failure as a fault status
 //                                   (worker events only)
-//   --standbys=N                    (streaming only) run the coordinator
+//   --standbys=N                    (runtime only) run the coordinator
 //                                   replicated: N standby replicas
 //                                   receive a quorum-committed request
 //                                   log and one takes over by election
 //                                   if the leader crash-stops
-//   --checkpoint-every=N            (streaming only) capture a per-machine
+//   --checkpoint-every=N            (runtime only) capture a per-machine
 //                                   incremental checkpoint every N sink
 //                                   epochs and truncate the recovery logs
 //                                   and resend window; prints the
 //                                   checkpoint statistics
-//   --resize=+K@E[,±K@E...]         (streaming only) grow (+K) or shrink
+//   --resize=+K@E[,±K@E...]         (runtime only) grow (+K) or shrink
 //                                   (-K) the machine set by K machines at
 //                                   sink epoch E: quiesce at the epoch
 //                                   barrier, migrate the re-homed
@@ -86,7 +84,7 @@
 //                                   slice; hotkey additionally pins the
 //                                   hottest keys onto the new machines
 //                                   (default rehash)
-//   --chaos=SEED                    (streaming only) seeded chaos matrix:
+//   --chaos=SEED                    (runtime only) seeded chaos matrix:
 //                                   two sequential crashes of distinct
 //                                   machines, a repeat crash of the first
 //                                   victim, and a straggler — all
@@ -139,17 +137,19 @@
 //                                   fires (the runtime keeps recording
 //                                   either way; without this flag dumps
 //                                   stay in memory)
+//
+// An argument that is none of these flags exits with status 2.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "baselines/gstore.h"
+#include "common/flags.h"
 #include "net/partition_schedule.h"
 #include "obs/flight_recorder.h"
 #include "obs/live_sampler.h"
@@ -166,32 +166,6 @@
 using namespace tpart;
 
 namespace {
-
-std::string StrFlag(int argc, char** argv, const char* name,
-                    const std::string& def) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return def;
-}
-
-std::int64_t IntFlag(int argc, char** argv, const char* name,
-                     std::int64_t def) {
-  const std::string s =
-      StrFlag(argc, argv, name, std::to_string(def));
-  return std::atoll(s.c_str());
-}
-
-bool BoolFlag(int argc, char** argv, const char* name) {
-  const std::string flag = std::string("--") + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
 
 Workload MakeWorkload(const std::string& name, std::size_t machines,
                       std::size_t txns) {
@@ -218,43 +192,55 @@ Workload MakeWorkload(const std::string& name, std::size_t machines,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string workload_name = StrFlag(argc, argv, "workload", "micro");
-  const std::string engine = StrFlag(argc, argv, "engine", "both");
+  if (const char* bad = FirstUnknownFlag(
+          argc, argv,
+          {"workload", "engine", "machines", "txns", "sink", "runtime",
+           "gstore", "transport", "drop", "dup", "delay", "crash",
+           "no-recover", "standbys", "checkpoint-every", "chaos",
+           "chaos-extended", "partition", "slow-link", "detector", "resize",
+           "resize-policy", "trace", "metrics", "metrics-stream",
+           "sample-every", "serve-metrics", "txn-sample",
+           "flight-recorder"})) {
+    std::fprintf(stderr, "unknown flag: %s\n", bad);
+    return 2;
+  }
+  const std::string workload_name =
+      StringFlag(argc, argv, "workload", "micro");
+  const std::string engine = StringFlag(argc, argv, "engine", "both");
   const auto machines =
       static_cast<std::size_t>(IntFlag(argc, argv, "machines", 4));
   const auto txns = static_cast<std::size_t>(IntFlag(argc, argv, "txns", 5000));
   const auto sink = static_cast<std::size_t>(IntFlag(argc, argv, "sink", 100));
   const bool use_runtime = BoolFlag(argc, argv, "runtime");
-  const bool stream = BoolFlag(argc, argv, "stream");
   const bool gstore = BoolFlag(argc, argv, "gstore");
   const std::string transport_name =
-      StrFlag(argc, argv, "transport", "direct");
-  const double drop = std::atof(StrFlag(argc, argv, "drop", "0").c_str());
-  const double dup = std::atof(StrFlag(argc, argv, "dup", "0").c_str());
-  const double delay = std::atof(StrFlag(argc, argv, "delay", "0").c_str());
-  const std::string crash = StrFlag(argc, argv, "crash", "");
+      StringFlag(argc, argv, "transport", "direct");
+  const double drop = DoubleFlag(argc, argv, "drop", 0.0);
+  const double dup = DoubleFlag(argc, argv, "dup", 0.0);
+  const double delay = DoubleFlag(argc, argv, "delay", 0.0);
+  const std::string crash = StringFlag(argc, argv, "crash", "");
   const bool no_recover = BoolFlag(argc, argv, "no-recover");
   const auto standbys =
       static_cast<std::size_t>(IntFlag(argc, argv, "standbys", 0));
   const auto checkpoint_every = static_cast<SinkEpoch>(
       IntFlag(argc, argv, "checkpoint-every", 0));
-  const std::string chaos = StrFlag(argc, argv, "chaos", "");
+  const std::string chaos = StringFlag(argc, argv, "chaos", "");
   const bool chaos_extended = BoolFlag(argc, argv, "chaos-extended");
-  const std::string partition_specs = StrFlag(argc, argv, "partition", "");
-  const std::string slow_link_specs = StrFlag(argc, argv, "slow-link", "");
+  const std::string partition_specs = StringFlag(argc, argv, "partition", "");
+  const std::string slow_link_specs = StringFlag(argc, argv, "slow-link", "");
   const bool force_detector = BoolFlag(argc, argv, "detector");
-  const std::string resize = StrFlag(argc, argv, "resize", "");
+  const std::string resize = StringFlag(argc, argv, "resize", "");
   const std::string resize_policy =
-      StrFlag(argc, argv, "resize-policy", "rehash");
-  const std::string trace_path = StrFlag(argc, argv, "trace", "");
-  const std::string metrics_path = StrFlag(argc, argv, "metrics", "");
+      StringFlag(argc, argv, "resize-policy", "rehash");
+  const std::string trace_path = StringFlag(argc, argv, "trace", "");
+  const std::string metrics_path = StringFlag(argc, argv, "metrics", "");
   const std::string metrics_stream_path =
-      StrFlag(argc, argv, "metrics-stream", "");
+      StringFlag(argc, argv, "metrics-stream", "");
   const auto sample_every = static_cast<std::uint64_t>(
       IntFlag(argc, argv, "sample-every", 10'000));
-  const std::string serve_metrics = StrFlag(argc, argv, "serve-metrics", "");
+  const std::string serve_metrics = StringFlag(argc, argv, "serve-metrics", "");
   // Accept "N" or the stride form "1/N"; both mean every Nth txn id.
-  const std::string txn_sample_str = StrFlag(argc, argv, "txn-sample", "");
+  const std::string txn_sample_str = StringFlag(argc, argv, "txn-sample", "");
   std::uint64_t txn_sample = 0;
   if (!txn_sample_str.empty()) {
     const auto slash = txn_sample_str.find('/');
@@ -262,7 +248,7 @@ int main(int argc, char** argv) {
         slash == std::string::npos ? txn_sample_str.c_str()
                                    : txn_sample_str.c_str() + slash + 1));
   }
-  const std::string flight_path = StrFlag(argc, argv, "flight-recorder", "");
+  const std::string flight_path = StringFlag(argc, argv, "flight-recorder", "");
 
   // The simulator's recorder runs on virtual time (deterministic,
   // diffable traces); the threaded runtime's on the steady clock.
@@ -389,19 +375,8 @@ int main(int argc, char** argv) {
     opts.transport.faults.drop_prob = drop;
     opts.transport.faults.duplicate_prob = dup;
     opts.transport.faults.delay_prob = delay;
-    opts.streaming = stream;
-    if (standbys > 0) {
-      if (!stream) {
-        std::fprintf(stderr, "--standbys requires --stream\n");
-        return 2;
-      }
-      opts.coordinator.standbys = standbys;
-    }
+    opts.coordinator.standbys = standbys;
     if (!crash.empty()) {
-      if (!stream) {
-        std::fprintf(stderr, "--crash requires --stream\n");
-        return 2;
-      }
       // Comma list of events in firing order: M@EPOCH crash-stops a
       // worker, seq@EPOCH crash-stops the coordinator leader.
       bool have_worker = false;
@@ -469,9 +444,8 @@ int main(int argc, char** argv) {
       if (have_worker) opts.detector.enabled = true;
     }
     if (!chaos.empty()) {
-      if (!stream || !crash.empty()) {
-        std::fprintf(stderr,
-                     "--chaos requires --stream and excludes --crash\n");
+      if (!crash.empty()) {
+        std::fprintf(stderr, "--chaos excludes --crash\n");
         return 2;
       }
       // Spread the crashes over roughly the run's sinking rounds.
@@ -484,10 +458,6 @@ int main(int argc, char** argv) {
       chaos_schedule = schedule;
     }
     if (!partition_specs.empty()) {
-      if (!stream) {
-        std::fprintf(stderr, "--partition requires --stream\n");
-        return 2;
-      }
       // ';'-separated: partition group lists use commas internally.
       for (std::size_t pos = 0; pos < partition_specs.size();) {
         std::size_t semi = partition_specs.find(';', pos);
@@ -504,10 +474,6 @@ int main(int argc, char** argv) {
       }
     }
     if (!slow_link_specs.empty()) {
-      if (!stream) {
-        std::fprintf(stderr, "--slow-link requires --stream\n");
-        return 2;
-      }
       for (std::size_t pos = 0; pos < slow_link_specs.size();) {
         std::size_t comma = slow_link_specs.find(',', pos);
         if (comma == std::string::npos) comma = slow_link_specs.size();
@@ -525,13 +491,7 @@ int main(int argc, char** argv) {
     // --detector arms the phi-accrual watchdog even without --crash:
     // the gray-failure drill is "slow links and stragglers, detector
     // on, zero crashes injected".
-    if (force_detector) {
-      if (!stream) {
-        std::fprintf(stderr, "--detector requires --stream\n");
-        return 2;
-      }
-      opts.detector.enabled = true;
-    }
+    if (force_detector) opts.detector.enabled = true;
     // Post-mortem header (black-box analysis needs the run's identity):
     // build id, the derived chaos schedule, and the link-fault summary
     // land in the flight recorder's dump as "runContext".
@@ -546,10 +506,6 @@ int main(int argc, char** argv) {
       flight->SetRunContext(ctx.str());
     }
     if (!resize.empty()) {
-      if (!stream) {
-        std::fprintf(stderr, "--resize requires --stream\n");
-        return 2;
-      }
       // Comma list of signed deltas pinned to cut epochs: +1@40,-1@80.
       for (std::size_t pos = 0; pos < resize.size();) {
         std::size_t comma = resize.find(',', pos);
@@ -579,20 +535,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (checkpoint_every > 0) {
-      if (!stream) {
-        std::fprintf(stderr, "--checkpoint-every requires --stream\n");
-        return 2;
-      }
-      opts.checkpoint_every = checkpoint_every;
-    }
+    opts.checkpoint_every = checkpoint_every;
     if (sampler != nullptr) {
-      if (!stream) {
-        std::fprintf(stderr,
-                     "--metrics-stream / --serve-metrics on the runtime "
-                     "require --stream\n");
-        return 2;
-      }
       opts.live_sampler = sampler.get();
       opts.sample_every_us = std::max<std::uint64_t>(sample_every, 100);
     }
@@ -616,7 +560,7 @@ int main(int argc, char** argv) {
                           static_cast<double>(out.aborted),
                           "Transactions aborted");
       if (out.transport.messages_sent > 0) out.transport.PublishTo(registry);
-      if (stream) out.pipeline.PublishTo(registry);
+      out.pipeline.PublishTo(registry);
       if (out.recovery.crashes_injected > 0) {
         out.recovery.PublishTo(registry);
       }
@@ -630,24 +574,21 @@ int main(int argc, char** argv) {
           out.failover.coordinator_crashes > 0) {
         out.failover.PublishTo(registry);
       }
-      std::printf("tpart  (runtime%s): committed=%llu aborted=%llu\n",
-                  stream ? ", streaming" : "",
+      std::printf("tpart  (runtime): committed=%llu aborted=%llu\n",
                   static_cast<unsigned long long>(out.committed),
                   static_cast<unsigned long long>(out.aborted));
       if (out.transport.messages_sent > 0) {
         std::printf("  transport: %s\n", out.transport.Summary().c_str());
       }
-      if (stream) {
-        const PipelineStats& p = out.pipeline;
-        std::printf("  pipeline: %s\n", p.Summary().c_str());
-        std::printf("  admission->commit latency: p50=%llu us p99=%llu us "
-                    "(%zu samples)\n",
-                    static_cast<unsigned long long>(
-                        p.admit_to_commit_us.Quantile(0.5)),
-                    static_cast<unsigned long long>(
-                        p.admit_to_commit_us.Quantile(0.99)),
-                    p.admit_to_commit_us.count());
-      }
+      const PipelineStats& p = out.pipeline;
+      std::printf("  pipeline: %s\n", p.Summary().c_str());
+      std::printf("  admission->commit latency: p50=%llu us p99=%llu us "
+                  "(%zu samples)\n",
+                  static_cast<unsigned long long>(
+                      p.admit_to_commit_us.Quantile(0.5)),
+                  static_cast<unsigned long long>(
+                      p.admit_to_commit_us.Quantile(0.99)),
+                  p.admit_to_commit_us.count());
       if (!out.fault.ok()) {
         std::printf("  fault: %s\n", out.fault.ToString().c_str());
         return finish(1);

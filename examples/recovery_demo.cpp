@@ -47,7 +47,6 @@ int main() {
 
   // ---- 1. Crash-free streaming run: the reference results and state.
   LocalClusterOptions base;
-  base.streaming = true;
   base.scheduler.sink_size = 50;
   ClusterRunOutcome clean;
   std::vector<std::vector<std::pair<ObjectKey, Record>>> clean_state;

@@ -64,7 +64,7 @@ struct TransportStats {
 
 /// Counters for the streaming execution pipeline (admission → scheduler →
 /// dissemination → execution as concurrent bounded stages). Zero/absent
-/// for batch-mode and simulator runs.
+/// for Calvin and simulator runs.
 struct PipelineStats {
   /// Real client requests admitted (dummy padding counted separately).
   std::uint64_t admitted = 0;
@@ -319,7 +319,7 @@ struct RunStats {
   /// Wire transport counters (threaded runtime over a real transport).
   TransportStats transport;
 
-  /// Streaming pipeline counters (threaded runtime, streaming mode only).
+  /// Streaming pipeline counters (threaded T-Part runtime only).
   PipelineStats pipeline;
 
   /// Crash-fault-tolerance counters (crash-injection runs only).

@@ -24,7 +24,7 @@ namespace obs {
 class LiveSampler;
 }  // namespace obs
 
-/// Stage bounds for the streaming pipeline (RunTPart with streaming=true):
+/// Stage bounds for the streaming pipeline (RunTPart):
 /// admission → scheduler → dissemination → execution run as concurrent
 /// stages connected by bounded queues, so a full stage backpressures its
 /// upstream instead of buffering without limit.
@@ -45,24 +45,15 @@ struct PipelineOptions {
 struct LocalClusterOptions {
   TPartScheduler::Options scheduler;
   SinkEpoch sticky_ttl = 2;
-  /// Executor worker threads per machine in T-Part mode (the version CC
-  /// makes >1 safe; results are interleaving-independent).
-  int executor_workers = 1;
   /// Which wire substrate carries inter-machine messages: the direct
   /// in-memory path (default), serialized in-process queues, or loopback
   /// TCP — optionally with seeded fault injection (net/transport.h).
   /// Results must be identical over every transport; the transport tests
   /// assert exactly this.
   TransportOptions transport;
-  /// RunTPart engine selection. Batch mode (default, the seed behaviour)
-  /// materializes the workload, schedules it to completion, and
-  /// pre-enqueues every plan before starting executors. Streaming mode
-  /// runs the paper's §3.1 layering for real: requests are admitted
-  /// incrementally through a Sequencer, scheduled on a dedicated thread,
-  /// and each sunk plan ships to the machines as a wire message the
-  /// moment it exists — memory stays bounded by the `pipeline` caps.
-  /// Both modes produce identical results for the same workload.
-  bool streaming = false;
+  /// Ignored: RunTPart always streams. Kept only because the cluster
+  /// benchmark still sets it; the next benchmark change deletes it.
+  bool streaming = true;
   PipelineOptions pipeline;
 
   /// One deterministic crash-stop: which machine dies and when. A
@@ -82,11 +73,11 @@ struct LocalClusterOptions {
     bool at_start = false;
   };
 
-  /// Deterministic crash injection (streaming runs only): each scheduled
-  /// machine crash-stops — no goodbyes, in-flight traffic dropped — at
-  /// its chosen point, and the run either recovers it in place (§5.4
-  /// local replay from checkpoint + request/network logs) or merely
-  /// detects the failure and reports it. Same seed + same schedule
+  /// Deterministic crash injection: each scheduled machine crash-stops —
+  /// no goodbyes, in-flight traffic dropped — at its chosen point, and
+  /// the run either recovers it in place (§5.4 local replay from
+  /// checkpoint + request/network logs) or merely detects the failure
+  /// and reports it. Same seed + same schedule
   /// reproduces the same crashes, replays, and final state.
   struct CrashSchedule {
     MachineId machine = kInvalidMachine;
@@ -98,9 +89,9 @@ struct LocalClusterOptions {
     std::vector<CrashEvent> more;
     /// Coordinator (leader) crash-stops, one per entry, fired after the
     /// first shipped round with epoch >= the entry (in order). Requires
-    /// coordinator.standbys >= 1 and streaming mode; composes freely
-    /// with the worker events above. enabled() stays worker-only — a
-    /// coordinator-only schedule does not arm worker crash machinery.
+    /// coordinator.standbys >= 1; composes freely with the worker events
+    /// above. enabled() stays worker-only — a coordinator-only schedule
+    /// does not arm worker crash machinery.
     std::vector<SinkEpoch> coordinator_at;
     /// Zombie-leader revival, paired index-wise with coordinator_at:
     /// entry i > 0 means the leader crashed by coordinator_at[i] was
@@ -142,14 +133,13 @@ struct LocalClusterOptions {
   };
   StragglerSchedule straggler;
 
-  /// Periodic incremental checkpointing (streaming runs only): every
-  /// machine captures a MachineCheckpoint at the first drained epoch
-  /// boundary at or past each multiple of this, then truncates its §5.4
-  /// logs; the cluster prunes the resend window up to the minimum
-  /// checkpointed epoch across machines. Recovery then replays only the
-  /// suffix since the victim's last checkpoint, and log memory plateaus
-  /// instead of growing with run length. 0 = load-time checkpoint only
-  /// (the seed behaviour).
+  /// Periodic incremental checkpointing: every machine captures a
+  /// MachineCheckpoint at the first drained epoch boundary at or past
+  /// each multiple of this, then truncates its §5.4 logs; the cluster
+  /// prunes the resend window up to the minimum checkpointed epoch across
+  /// machines. Recovery then replays only the suffix since the victim's
+  /// last checkpoint, and log memory plateaus instead of growing with run
+  /// length. 0 = load-time checkpoint only (the seed behaviour).
   SinkEpoch checkpoint_every = 0;
 
   /// One elastic-membership change: after sinking round `at_epoch` fully
@@ -161,12 +151,12 @@ struct LocalClusterOptions {
     int delta = 0;
   };
 
-  /// Elastic membership (streaming runs only): machine slots for the
-  /// maximum membership are allocated up front; each event only changes
-  /// where keys are homed and ships the moved partition state at a
-  /// quiesced sink-epoch barrier. Results stay byte-identical to a
-  /// fixed-membership run of the same workload. Requires a bounded epoch
-  /// queue (the barrier quiesces via epoch credits).
+  /// Elastic membership: machine slots for the maximum membership are
+  /// allocated up front; each event only changes where keys are homed
+  /// and ships the moved partition state at a quiesced sink-epoch
+  /// barrier. Results stay byte-identical to a fixed-membership run of
+  /// the same workload. Requires a bounded epoch queue (the barrier
+  /// quiesces via epoch credits).
   struct ResizeSchedule {
     /// Events in firing order; cut epochs strictly increasing, >= 1.
     std::vector<ResizeEvent> events;
@@ -211,9 +201,8 @@ struct LocalClusterOptions {
   /// standby that rebuilds all scheduler state by deterministic replay.
   CoordinatorOptions coordinator;
 
-  /// Record the §5.4 per-machine request/network logs during streaming
-  /// runs (required for crash recovery; disable to keep long runs'
-  /// memory strictly bounded).
+  /// Record the §5.4 per-machine request/network logs (required for
+  /// crash recovery; disable to keep long runs' memory strictly bounded).
   bool record_recovery_logs = true;
 
   /// Record the per-round dissemination timeline in the outcome (one
@@ -230,14 +219,14 @@ struct LocalClusterOptions {
   std::uint64_t stall_timeout_us = 120'000'000;
 
   /// Live observability plane (DESIGN §4f). When `live_sampler` is set,
-  /// the streaming run installs a source over the pipeline's hot-path
-  /// counters — admitted/planned/committed, T-graph size, distributed-txn
-  /// ratio, per-machine inbound and in-flight depths, the coordinator
-  /// term, and the scheduler's hottest key — and drives the sampler every
+  /// the run installs a source over the pipeline's hot-path counters —
+  /// admitted/planned/committed, T-graph size, distributed-txn ratio,
+  /// per-machine inbound and in-flight depths, the coordinator term, and
+  /// the scheduler's hottest key — and drives the sampler every
   /// `sample_every_us` of wall time for the duration of the run. The
   /// caller owns the sampler and reads or streams its snapshots
   /// (obs/live_sampler.h); sampling reads relaxed counters only and never
-  /// blocks the pipeline. Ignored in batch mode.
+  /// blocks the pipeline.
   obs::LiveSampler* live_sampler = nullptr;
   std::uint64_t sample_every_us = 10'000;
 
@@ -263,7 +252,7 @@ struct ClusterRunOutcome {
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
   TransportStats transport;
-  /// Streaming-mode stage counters (zero in batch mode).
+  /// Pipeline stage counters.
   PipelineStats pipeline;
   /// Non-OK when the failure detector declared a machine dead with no
   /// recovery configured, or a dissemination wait timed out; the run
@@ -315,7 +304,11 @@ std::string ApplySeededChaos(std::uint64_t seed, std::size_t num_machines,
 ///  * RunCalvin() — the §2.1 baseline (peer-pushing, every participant
 ///    executes);
 ///  * RunTPart() — the paper's engine (one executor per transaction,
-///    T-graph-partitioned, forward-pushing).
+///    T-graph-partitioned, forward-pushing), run as the §3.1 streaming
+///    pipeline: requests are admitted incrementally through a Sequencer,
+///    scheduled on a dedicated thread, and each sunk plan ships to the
+///    machines as a wire message the moment it exists, so memory stays
+///    bounded by the `pipeline` caps.
 /// Both must produce identical results and identical final database state
 /// as the serial reference — the integration tests assert exactly this.
 class LocalCluster {
@@ -337,11 +330,6 @@ class LocalCluster {
   /// when no resize schedule is armed. For tests inspecting placement.
   const ElasticPartitionMap* elastic_map() const { return elastic_.get(); }
 
-  /// Plans of the last batch-mode RunTPart (for inspection / recovery
-  /// tests). Streaming mode deliberately retains nothing here: plans are
-  /// shipped and dropped, keeping memory bounded by the stage caps.
-  const std::vector<SinkPlan>& last_plans() const { return last_plans_; }
-
   /// Machine m's checkpoint image (records + volatile state + logs
   /// truncation point), or nullptr when the run keeps none (no crash
   /// schedule and no checkpoint_every). For recovery inspection and the
@@ -353,8 +341,6 @@ class LocalCluster {
   }
 
  private:
-  ClusterRunOutcome RunTPartBatch();
-  ClusterRunOutcome RunTPartStreaming();
   /// Executes membership step `step_idx` at its cut: quiesces the stream
   /// (every in-flight round executed, every service FIFO drained),
   /// computes and ships the migration routes, waits for every image to
@@ -391,7 +377,6 @@ class LocalCluster {
   /// each machine folds its dirty keys and volatile state in at every
   /// cadence boundary. The recovery baseline for RestorePartition().
   std::vector<std::unique_ptr<MachineCheckpoint>> checkpoints_;
-  std::vector<SinkPlan> last_plans_;
 };
 
 }  // namespace tpart

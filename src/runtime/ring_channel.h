@@ -139,6 +139,13 @@ class MpscRing {
     return h - tail_;
   }
 
+  /// True when every claimed ticket has been popped. After a failed
+  /// TryPop, false means a producer claimed the next slot but has not
+  /// published it yet. Single consumer only.
+  bool Drained() const {
+    return head_.load(std::memory_order_acquire) == tail_;
+  }
+
  private:
   struct Slot {
     std::atomic<std::size_t> seq{0};
@@ -280,9 +287,12 @@ class RingChannel {
   /// Overflow half of the dequeue; requires mu_. Re-checks the ring
   /// first: a message published there just before a concurrent spill
   /// activated the overflow must still be consumed ahead of the spill.
+  /// The overflow is only touched once the ring is drained: while an
+  /// earlier ticket is claimed but unpublished, later tickets may hold
+  /// messages that precede a spilled one from the same producer.
   bool PopLockedTail(T& out) {
     if (PopRing(out)) return true;
-    if (overflow_.empty()) return false;
+    if (!ring_.Drained() || overflow_.empty()) return false;
     out = std::move(overflow_.front());
     overflow_.pop_front();
     if (overflow_.empty()) {

@@ -27,7 +27,6 @@
 
 #include "sequencer/batch.h"      // IWYU pragma: export
 #include "sequencer/sequencer.h"  // IWYU pragma: export
-#include "sequencer/zab.h"        // IWYU pragma: export
 
 #include "tgraph/edge_weight.h"  // IWYU pragma: export
 #include "tgraph/tgraph.h"       // IWYU pragma: export

@@ -37,7 +37,6 @@ LocalClusterOptions StreamingOpts(TransportKind kind) {
   LocalClusterOptions opts;
   opts.scheduler.sink_size = 20;
   opts.transport.kind = kind;
-  opts.streaming = true;
   return opts;
 }
 
@@ -198,7 +197,6 @@ TEST(CheckpointTest, LogFootprintPlateausWithCheckpointing) {
   auto peak_bytes = [](const Workload& w, SinkEpoch every) {
     LocalClusterOptions opts;
     opts.scheduler.sink_size = 20;
-    opts.streaming = true;
     opts.checkpoint_every = every;
     LocalCluster cluster(&w, opts);
     const ClusterRunOutcome out = cluster.RunTPart();

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 
+#include "common/flags.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -231,6 +232,40 @@ TEST(TypesTest, ObjectKeyPacksTableAndPk) {
 
 TEST(TypesTest, DistinctTablesYieldDistinctKeys) {
   EXPECT_NE(MakeObjectKey(1, 5), MakeObjectKey(2, 5));
+}
+
+// ---- Flags ------------------------------------------------------------
+
+TEST(FlagsTest, ParsesValuesAndFallsBackToDefaults) {
+  char prog[] = "prog", txns[] = "--txns=250", drop[] = "--drop=0.25",
+       name[] = "--workload=tpcc", runtime[] = "--runtime";
+  char* argv[] = {prog, txns, drop, name, runtime};
+  const int argc = 5;
+  EXPECT_EQ(IntFlag(argc, argv, "txns", 7), 250);
+  EXPECT_EQ(IntFlag(argc, argv, "machines", 7), 7);
+  EXPECT_DOUBLE_EQ(DoubleFlag(argc, argv, "drop", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(DoubleFlag(argc, argv, "dup", 0.5), 0.5);
+  EXPECT_EQ(StringFlag(argc, argv, "workload", "micro"), "tpcc");
+  EXPECT_EQ(StringFlag(argc, argv, "engine", "both"), "both");
+  EXPECT_TRUE(BoolFlag(argc, argv, "runtime"));
+  EXPECT_FALSE(BoolFlag(argc, argv, "gstore"));
+}
+
+TEST(FlagsTest, FirstUnknownFlagNamesTheStrayArgument) {
+  char prog[] = "prog", txns[] = "--txns=250", runtime[] = "--runtime",
+       stale[] = "--stale", bare[] = "txns";
+  char* ok[] = {prog, txns, runtime};
+  EXPECT_EQ(FirstUnknownFlag(3, ok, {"txns", "runtime"}), nullptr);
+  char* with_stale[] = {prog, txns, stale, runtime};
+  EXPECT_STREQ(FirstUnknownFlag(4, with_stale, {"txns", "runtime"}),
+               "--stale");
+  // A known name without the leading dashes is not a flag.
+  char* with_bare[] = {prog, bare};
+  EXPECT_STREQ(FirstUnknownFlag(2, with_bare, {"txns"}), "txns");
+  // Prefixes of known names do not match.
+  char* prefix[] = {prog, runtime};
+  EXPECT_STREQ(FirstUnknownFlag(2, prefix, {"runtime-x", "run"}),
+               "--runtime");
 }
 
 }  // namespace

@@ -40,7 +40,6 @@ LocalClusterOptions StreamingOpts(TransportKind kind) {
   LocalClusterOptions opts;
   opts.scheduler.sink_size = 20;
   opts.transport.kind = kind;
-  opts.streaming = true;
   return opts;
 }
 

