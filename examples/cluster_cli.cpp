@@ -100,11 +100,12 @@
 //                                   crash becomes a pause-and-revive
 //                                   zombie whose stale traffic must be
 //                                   term-fenced
-//   --trace=out.json                record a Chrome trace-event JSON of
-//                                   the run (open in Perfetto or
-//                                   chrome://tracing). Simulator traces
-//                                   use virtual time and are byte-
-//                                   identical across same-seed runs.
+//   --trace=out.json                record every event of the run as a
+//                                   Chrome trace-event JSON (open in
+//                                   Perfetto or chrome://tracing).
+//                                   Simulator traces use virtual time and
+//                                   are byte-identical across same-seed
+//                                   runs.
 //   --metrics=out.prom              write the run's metrics snapshot:
 //                                   Prometheus text exposition format,
 //                                   or one JSON object if the path ends
@@ -129,14 +130,15 @@
 //                                   executed -> commit) stitched across
 //                                   machines and coordinator terms in the
 //                                   --trace output
-//   --flight-recorder=out.json      black-box post-mortem destination:
-//                                   the always-on flight recorder dumps
-//                                   its bounded event rings there as
-//                                   Chrome-trace JSON when a watchdog /
-//                                   stall / failover / migration fault
-//                                   fires (the runtime keeps recording
-//                                   either way; without this flag dumps
-//                                   stay in memory)
+//   --flight-recorder=out.json      post-mortem destination: when a
+//                                   watchdog / stall / failover /
+//                                   migration fault fires, the recorder
+//                                   dumps what it holds there as
+//                                   Chrome-trace JSON — each thread's
+//                                   newest 4096 events (runtime runs
+//                                   always keep this black box), or the
+//                                   full capture under --trace. Without
+//                                   this flag dumps stay in memory
 //
 // An argument that is none of these flags exits with status 2.
 
@@ -151,7 +153,6 @@
 #include "baselines/gstore.h"
 #include "common/flags.h"
 #include "net/partition_schedule.h"
-#include "obs/flight_recorder.h"
 #include "obs/live_sampler.h"
 #include "obs/metrics.h"
 #include "obs/metrics_http.h"
@@ -236,42 +237,27 @@ int main(int argc, char** argv) {
   const std::string metrics_path = StringFlag(argc, argv, "metrics", "");
   const std::string metrics_stream_path =
       StringFlag(argc, argv, "metrics-stream", "");
-  const auto sample_every = static_cast<std::uint64_t>(
-      IntFlag(argc, argv, "sample-every", 10'000));
+  const std::uint64_t sample_every =
+      IntFlag(argc, argv, "sample-every", 10'000);
   const std::string serve_metrics = StringFlag(argc, argv, "serve-metrics", "");
-  // Accept "N" or the stride form "1/N"; both mean every Nth txn id.
-  const std::string txn_sample_str = StringFlag(argc, argv, "txn-sample", "");
-  std::uint64_t txn_sample = 0;
-  if (!txn_sample_str.empty()) {
-    const auto slash = txn_sample_str.find('/');
-    txn_sample = static_cast<std::uint64_t>(std::atoll(
-        slash == std::string::npos ? txn_sample_str.c_str()
-                                   : txn_sample_str.c_str() + slash + 1));
-  }
+  const std::uint64_t txn_sample = StrideFlag(argc, argv, "txn-sample", 0);
   const std::string flight_path = StringFlag(argc, argv, "flight-recorder", "");
 
-  // The simulator's recorder runs on virtual time (deterministic,
-  // diffable traces); the threaded runtime's on the steady clock.
+  // One recorder. --trace keeps every event (the simulator's on virtual
+  // time, so same-seed traces are diffable); runtime runs without it
+  // still keep each thread's newest 4096 events as a black box. Either
+  // way a fault path dumps a post-mortem to --flight-recorder.
   std::unique_ptr<obs::TraceRecorder> recorder;
-  if (!trace_path.empty()) {
-    recorder = std::make_unique<obs::TraceRecorder>(
-        use_runtime ? obs::TraceRecorder::ClockDomain::kSteady
-                    : obs::TraceRecorder::ClockDomain::kManual);
+  if (!trace_path.empty() || use_runtime) {
+    obs::TraceRecorder::Options o;
+    o.domain = use_runtime ? obs::TraceRecorder::ClockDomain::kSteady
+                           : obs::TraceRecorder::ClockDomain::kManual;
+    o.ring_size = trace_path.empty() ? 4096 : 0;
+    o.dump_path = flight_path;
+    recorder = std::make_unique<obs::TraceRecorder>(std::move(o));
     obs::InstallGlobalTrace(recorder.get());
   }
   obs::MetricsRegistry registry;
-
-  // Black-box flight recorder: always-on for runtime runs (bounded
-  // per-thread rings, compact binary events), dumped as a Chrome-trace
-  // post-mortem when a fault path fires. --flight-recorder only chooses
-  // where dumps land.
-  std::unique_ptr<obs::FlightRecorder> flight;
-  if (use_runtime) {
-    obs::FlightRecorder::Options fopts;
-    fopts.dump_path = flight_path;
-    flight = std::make_unique<obs::FlightRecorder>(fopts);
-    obs::InstallGlobalFlightRecorder(flight.get());
-  }
 
   // In-flight metrics sampling: wall-time cadence on the threaded
   // runtime, sink-epoch cadence (deterministic) on the simulator.
@@ -302,8 +288,8 @@ int main(int argc, char** argv) {
   // Writes the trace/metrics artifacts; every exit path past flag
   // parsing funnels through here.
   const auto finish = [&](int rc) {
-    if (recorder != nullptr) {
-      obs::InstallGlobalTrace(nullptr);
+    if (recorder != nullptr) obs::InstallGlobalTrace(nullptr);
+    if (!trace_path.empty()) {
       const Status s = recorder->WriteJson(trace_path);
       if (s.ok()) {
         std::printf("trace: %s (%zu events)\n", trace_path.c_str(),
@@ -318,8 +304,9 @@ int main(int argc, char** argv) {
       const bool as_json =
           metrics_path.size() >= 5 &&
           metrics_path.compare(metrics_path.size() - 5, 5, ".json") == 0;
-      const Status s = registry.WriteFile(
-          metrics_path, as_json ? registry.Json() : registry.PrometheusText());
+      const Status s = obs::WriteTextFile(
+          metrics_path, as_json ? registry.Json() : registry.PrometheusText(),
+          "metrics file");
       if (s.ok()) {
         std::printf("metrics: %s (%zu series)\n", metrics_path.c_str(),
                     registry.size());
@@ -341,13 +328,10 @@ int main(int argc, char** argv) {
         if (rc == 0) rc = 1;
       }
     }
-    if (flight != nullptr) {
-      obs::InstallGlobalFlightRecorder(nullptr);
-      if (flight->dumps() > 0) {
-        std::printf("flight recorder: %zu post-mortem dump(s)%s%s\n",
-                    flight->dumps(), flight_path.empty() ? "" : " -> ",
-                    flight_path.c_str());
-      }
+    if (recorder != nullptr && recorder->dumps() > 0) {
+      std::printf("post-mortem: %zu dump(s)%s%s\n",
+                  recorder->dumps(), flight_path.empty() ? "" : " -> ",
+                  flight_path.c_str());
     }
     return rc;
   };
@@ -494,8 +478,8 @@ int main(int argc, char** argv) {
     if (force_detector) opts.detector.enabled = true;
     // Post-mortem header (black-box analysis needs the run's identity):
     // build id, the derived chaos schedule, and the link-fault summary
-    // land in the flight recorder's dump as "runContext".
-    if (flight != nullptr) {
+    // land in every post-mortem as "runContext".
+    if (recorder != nullptr) {
       std::ostringstream ctx;
       ctx << "build " << __DATE__ << " " << __TIME__;
       if (!chaos_schedule.empty()) ctx << "; " << chaos_schedule;
@@ -503,7 +487,7 @@ int main(int argc, char** argv) {
       if (opts.transport.faults.partition.Any()) {
         ctx << "; links " << opts.transport.faults.partition.Summary();
       }
-      flight->SetRunContext(ctx.str());
+      recorder->SetRunContext(ctx.str());
     }
     if (!resize.empty()) {
       // Comma list of signed deltas pinned to cut epochs: +1@40,-1@80.

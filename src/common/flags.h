@@ -3,14 +3,19 @@
 
 // Command-line flag parsing shared by the bench binaries and the example
 // drivers: `--name=value` and bare `--name` arguments, looked up by name.
+// A numeric value must parse in full; anything else (`--txns=2k`,
+// `--sample-every=-1`) exits with status 2 naming the flag and value.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 namespace tpart {
 
@@ -26,18 +31,51 @@ inline std::string StringFlag(int argc, char** argv, const char* name,
   return def;
 }
 
-/// --name=value integers.
-inline std::int64_t IntFlag(int argc, char** argv, const char* name,
-                            std::int64_t def) {
+/// Parses all of `s` as a T; false on an empty, partial or out-of-range
+/// parse.
+template <typename T>
+bool ParseWhole(std::string_view s, T* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+[[noreturn]] inline void BadFlagValue(const char* name,
+                                      const std::string& value) {
+  std::fprintf(stderr, "bad value for --%s: %s\n", name, value.c_str());
+  std::exit(2);
+}
+
+/// --name=value non-negative integers (counts, sizes, cadences).
+inline std::uint64_t IntFlag(int argc, char** argv, const char* name,
+                             std::uint64_t def) {
   const std::string s = StringFlag(argc, argv, name, "");
-  return s.empty() ? def : std::atoll(s.c_str());
+  if (s.empty()) return def;
+  std::uint64_t v = 0;
+  if (!ParseWhole(s, &v)) BadFlagValue(name, s);
+  return v;
+}
+
+/// --name=N or --name=1/N: a sampling stride, every Nth item.
+inline std::uint64_t StrideFlag(int argc, char** argv, const char* name,
+                                std::uint64_t def) {
+  const std::string s = StringFlag(argc, argv, name, "");
+  if (s.empty()) return def;
+  std::string_view n = s;
+  if (n.substr(0, 2) == "1/") n.remove_prefix(2);
+  std::uint64_t v = 0;
+  if (!ParseWhole(n, &v)) BadFlagValue(name, s);
+  return v;
 }
 
 /// --name=value doubles (probabilities, ratios).
 inline double DoubleFlag(int argc, char** argv, const char* name,
                          double def) {
   const std::string s = StringFlag(argc, argv, name, "");
-  return s.empty() ? def : std::atof(s.c_str());
+  if (s.empty()) return def;
+  double v = 0.0;
+  if (!ParseWhole(s, &v)) BadFlagValue(name, s);
+  return v;
 }
 
 /// Bare --name presence.

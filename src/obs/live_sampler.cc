@@ -127,19 +127,7 @@ std::string LiveSampler::Jsonl() const {
 }
 
 Status LiveSampler::WriteJsonl(const std::string& path) const {
-  const std::string text = Jsonl();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status(StatusCode::kInternal,
-                  "cannot open metrics stream " + path);
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != text.size() || close_rc != 0) {
-    return Status(StatusCode::kInternal,
-                  "short write to metrics stream " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, Jsonl(), "metrics stream");
 }
 
 std::string LiveSampler::PrometheusText() const {

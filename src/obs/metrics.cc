@@ -7,13 +7,6 @@ namespace tpart::obs {
 
 namespace {
 
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
-
 /// Prometheus HELP text escaping: backslash and line feed only, per the
 /// text exposition format.
 void AppendHelpEscaped(std::string* out, const std::string& s) {
@@ -29,6 +22,53 @@ void AppendHelpEscaped(std::string* out, const std::string& s) {
 }
 
 }  // namespace
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+}
+
+Status WriteTextFile(const std::string& path, const std::string& text,
+                     const char* what) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status(StatusCode::kInternal,
+                  std::string("cannot open ") + what + " " + path);
+  }
+  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  const int close_rc = std::fclose(f);
+  if (written != text.size() || close_rc != 0) {
+    return Status(StatusCode::kInternal,
+                  std::string("short write to ") + what + " " + path);
+  }
+  return Status::Ok();
+}
 
 /// Sample values: plain decimal, no exponent, trailing zeros trimmed —
 /// deterministic and human-readable.
@@ -191,21 +231,6 @@ std::string MetricsRegistry::Json() const {
   }
   out.append("\n}\n");
   return out;
-}
-
-Status MetricsRegistry::WriteFile(const std::string& path,
-                                  const std::string& text) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status(StatusCode::kInternal, "cannot open metrics file " + path);
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != text.size() || close_rc != 0) {
-    return Status(StatusCode::kInternal,
-                  "short write to metrics file " + path);
-  }
-  return Status::Ok();
 }
 
 }  // namespace tpart::obs

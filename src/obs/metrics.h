@@ -16,6 +16,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "common/stats.h"
 #include "common/status.h"
@@ -30,6 +31,15 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 /// text, JSON, the live sampler's JSONL): plain decimal, integers exact,
 /// no exponent — deterministic across runs.
 std::string FormatMetricValue(double v);
+
+/// JSON string-body escaping shared by every JSON exporter (metrics,
+/// traces, post-mortems): quote, backslash, and every control character.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
+/// Replaces the file at `path` with `text`. `what` names the artifact in
+/// the error ("cannot open <what> <path>", "short write to <what> <path>").
+Status WriteTextFile(const std::string& path, const std::string& text,
+                     const char* what);
 
 class MetricsRegistry {
  public:
@@ -61,7 +71,6 @@ class MetricsRegistry {
   std::string PrometheusText() const;
   /// One flat JSON object; histograms as {count, mean, p50, p99, max}.
   std::string Json() const;
-  Status WriteFile(const std::string& path, const std::string& text) const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

@@ -1,9 +1,11 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <utility>
+
+#include "obs/metrics.h"
 
 namespace tpart::obs {
 
@@ -21,44 +23,24 @@ struct CachedLog {
 };
 thread_local CachedLog t_cached_log;
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
+/// Integers are formatted with to_chars: the renderer formats every
+/// retained event, and a post-mortem dump runs on a fault path that
+/// other threads are waiting on.
+template <typename T>
+void AppendInt(std::string* out, T v, int base = 10) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v, base).ptr);
 }
 
 /// Chrome trace "ts" is in microseconds; keep ns resolution as a fixed
 /// three-decimal fraction (deterministic formatting, no float rounding).
 void AppendTimestamp(std::string* out, std::uint64_t ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03" PRIu64, ns / 1000,
-                ns % 1000);
-  out->append(buf);
+  AppendInt(out, ns / 1000);
+  const auto frac = static_cast<unsigned>(ns % 1000);
+  const char digits[4] = {'.', static_cast<char>('0' + frac / 100),
+                          static_cast<char>('0' + frac / 10 % 10),
+                          static_cast<char>('0' + frac % 10)};
+  out->append(digits, sizeof(digits));
 }
 
 }  // namespace
@@ -71,8 +53,10 @@ TraceRecorder* InstallGlobalTrace(TraceRecorder* recorder) {
   return g_trace.exchange(recorder, std::memory_order_acq_rel);
 }
 
-TraceRecorder::TraceRecorder(ClockDomain domain)
-    : domain_(domain),
+TraceRecorder::TraceRecorder() : TraceRecorder(Options()) {}
+
+TraceRecorder::TraceRecorder(Options options)
+    : options_(std::move(options)),
       recorder_id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
       t0_(std::chrono::steady_clock::now()) {}
 
@@ -89,7 +73,7 @@ void TraceRecorder::AdvanceTo(std::uint64_t ns) {
 }
 
 std::uint64_t TraceRecorder::NowNs() const {
-  if (domain_ == ClockDomain::kManual) {
+  if (options_.domain == ClockDomain::kManual) {
     return manual_ns_.load(std::memory_order_relaxed);
   }
   return static_cast<std::uint64_t>(
@@ -105,18 +89,25 @@ TraceRecorder::ThreadLog* TraceRecorder::Log() {
   std::lock_guard<std::mutex> lock(registry_mu_);
   auto log = std::make_unique<ThreadLog>();
   log->tid = next_tid_++;
+  log->events.resize(options_.ring_size);
   ThreadLog* raw = log.get();
   logs_.push_back(std::move(log));
   t_cached_log = CachedLog{recorder_id_, raw};
   return raw;
 }
 
-void TraceRecorder::Append(ThreadLog* log, Event e) {
-  {
-    std::lock_guard<std::mutex> lock(log->mu);
+void TraceRecorder::Store(ThreadLog* log, Event&& e) {
+  if (options_.ring_size == 0) {
     log->events.push_back(std::move(e));
+  } else {
+    log->events[log->appended % options_.ring_size] = std::move(e);
   }
-  event_count_.fetch_add(1, std::memory_order_relaxed);
+  ++log->appended;
+}
+
+void TraceRecorder::Append(ThreadLog* log, Event e) {
+  std::lock_guard<std::mutex> lock(log->mu);
+  Store(log, std::move(e));
 }
 
 void TraceRecorder::AppendHere(Event e) {
@@ -151,12 +142,9 @@ void TraceRecorder::Begin(const char* name, const char* cat,
   for (const TraceArg& a : args) {
     if (e.nargs < 3) e.args[e.nargs++] = a;
   }
-  {
-    std::lock_guard<std::mutex> lock(log->mu);
-    log->open_spans.emplace_back(name, cat);
-    log->events.push_back(std::move(e));
-  }
-  event_count_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(log->mu);
+  log->open_spans.emplace_back(name, cat);
+  Store(log, std::move(e));
 }
 
 void TraceRecorder::End() {
@@ -166,15 +154,12 @@ void TraceRecorder::End() {
   e.ts_ns = NowNs();
   e.pid = log->pid;
   e.tid = log->tid;
-  {
-    std::lock_guard<std::mutex> lock(log->mu);
-    if (log->open_spans.empty()) return;  // unbalanced End: drop
-    e.name = log->open_spans.back().first;
-    e.cat = log->open_spans.back().second;
-    log->open_spans.pop_back();
-    log->events.push_back(std::move(e));
-  }
-  event_count_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(log->mu);
+  if (log->open_spans.empty()) return;  // unbalanced End: drop
+  e.name = log->open_spans.back().first;
+  e.cat = log->open_spans.back().second;
+  log->open_spans.pop_back();
+  Store(log, std::move(e));
 }
 
 void TraceRecorder::Instant(const char* name, const char* cat,
@@ -333,112 +318,177 @@ void TraceRecorder::FlowEndAt(int pid, int tid, const char* name,
 }
 
 std::size_t TraceRecorder::event_count() const {
-  return event_count_.load(std::memory_order_relaxed);
+  // Summed from the per-thread counters: a shared counter would put one
+  // contended cache line on every emitter's path.
+  std::lock_guard<std::mutex> registry_lock(registry_mu_);
+  std::size_t n = 0;
+  for (const auto& log : logs_) {
+    std::lock_guard<std::mutex> lock(log->mu);
+    n += log->appended;
+  }
+  return n;
 }
 
-std::string TraceRecorder::ToJson() const {
-  std::lock_guard<std::mutex> registry_lock(registry_mu_);
+std::string TraceRecorder::ToJson() const { return Render(nullptr); }
+
+std::string TraceRecorder::Render(const std::string* reason) const {
   std::string out;
-  out.reserve(1024 + 128 * event_count());
   out.append("{\"traceEvents\":[\n");
   bool first = true;
   const auto sep = [&] {
     if (!first) out.append(",\n");
     first = false;
   };
-
   char buf[96];
-  // Metadata first: process names (sorted by pid), then thread names in
-  // registration order — a deterministic prefix.
-  for (const auto& [pid, name] : process_names_) {
-    sep();
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"tid\":0,\"args\":{\"name\":\"",
-                  pid);
-    out.append(buf);
-    AppendEscaped(&out, name);
-    out.append("\"}}");
-  }
-  for (const auto& log : logs_) {
-    std::lock_guard<std::mutex> lock(log->mu);
-    if (log->name.empty()) continue;
-    sep();
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"tid\":%d,\"args\":{\"name\":\"",
-                  log->pid, log->tid);
-    out.append(buf);
-    AppendEscaped(&out, log->name);
-    out.append("\"}}");
-  }
 
-  for (const auto& log : logs_) {
-    std::lock_guard<std::mutex> lock(log->mu);
-    for (const Event& e : log->events) {
+  // Metadata first — process names (sorted by pid), then thread names in
+  // registration order, a deterministic prefix — while each thread's
+  // retained events are copied out under its own lock. Copying keeps the
+  // locks brief: emitters never wait on the formatting below.
+  const std::uint64_t ring = options_.ring_size;
+  std::vector<Event> events;
+  {
+    std::lock_guard<std::mutex> registry_lock(registry_mu_);
+    for (const auto& [pid, name] : process_names_) {
       sep();
-      out.append("{\"name\":\"");
-      AppendEscaped(&out, e.name != nullptr ? e.name : "");
-      out.append("\",\"cat\":\"");
-      AppendEscaped(&out, e.cat != nullptr ? e.cat : "");
-      out.append("\",\"ph\":\"");
-      out.push_back(e.ph);
-      out.append("\",\"ts\":");
-      AppendTimestamp(&out, e.ts_ns);
-      if (e.ph == 'X') {
-        out.append(",\"dur\":");
-        AppendTimestamp(&out, e.dur_ns);
-      }
-      std::snprintf(buf, sizeof(buf), ",\"pid\":%d,\"tid\":%d", e.pid,
-                    e.tid);
+      std::snprintf(buf, sizeof(buf),
+                    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
+                    "\"tid\":0,\"args\":{\"name\":\"",
+                    pid);
       out.append(buf);
-      if (e.ph == 's' || e.ph == 'f' || e.ph == 'b' || e.ph == 'e' ||
-          e.ph == 'n') {
-        std::snprintf(buf, sizeof(buf), ",\"id\":\"0x%" PRIx64 "\"", e.id);
+      AppendJsonEscaped(&out, name);
+      out.append("\"}}");
+    }
+    for (const auto& log : logs_) {
+      std::lock_guard<std::mutex> lock(log->mu);
+      if (!log->name.empty()) {
+        sep();
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
+                      "\"tid\":%d,\"args\":{\"name\":\"",
+                      log->pid, log->tid);
         out.append(buf);
-        // Flow ends bind to the enclosing slice.
-        if (e.ph == 'f') out.append(",\"bp\":\"e\"");
+        AppendJsonEscaped(&out, log->name);
+        out.append("\"}}");
       }
-      if (e.ph == 'C') {
-        std::snprintf(buf, sizeof(buf), ",\"args\":{\"value\":%" PRIu64 "}",
-                      e.id);
-        out.append(buf);
-      } else if (e.nargs > 0 || !e.detail.empty()) {
-        out.append(",\"args\":{");
-        for (int i = 0; i < e.nargs; ++i) {
-          if (i > 0) out.push_back(',');
-          out.append("\"");
-          AppendEscaped(&out, e.args[i].key);
-          std::snprintf(buf, sizeof(buf), "\":%" PRIu64, e.args[i].value);
-          out.append(buf);
+      // Oldest first; an E whose B the ring overwrote is dropped.
+      const std::uint64_t kept =
+          ring == 0 ? log->appended : std::min(log->appended, ring);
+      int depth = 0;
+      for (std::uint64_t k = log->appended - kept; k < log->appended; ++k) {
+        const Event& e = log->events[ring == 0 ? k : k % ring];
+        if (e.ph == 'B') ++depth;
+        if (e.ph == 'E') {
+          if (depth == 0) continue;
+          --depth;
         }
-        if (!e.detail.empty()) {
-          if (e.nargs > 0) out.push_back(',');
-          out.append("\"detail\":\"");
-          AppendEscaped(&out, e.detail);
-          out.append("\"");
-        }
-        out.push_back('}');
+        events.push_back(e);
+      }
+    }
+  }
+  // One stable merge by timestamp keeps per-thread emission order.
+  std::vector<const Event*> order;
+  order.reserve(events.size());
+  for (const Event& e : events) order.push_back(&e);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Event* x, const Event* y) {
+                     return x->ts_ns < y->ts_ns;
+                   });
+  out.reserve(out.size() + 128 * events.size());
+
+  for (const Event* ep : order) {
+    const Event& e = *ep;
+    sep();
+    out.append("{\"name\":\"");
+    AppendJsonEscaped(&out, e.name != nullptr ? e.name : "");
+    out.append("\",\"cat\":\"");
+    AppendJsonEscaped(&out, e.cat != nullptr ? e.cat : "");
+    out.append("\",\"ph\":\"");
+    out.push_back(e.ph);
+    out.append("\",\"ts\":");
+    AppendTimestamp(&out, e.ts_ns);
+    if (e.ph == 'X') {
+      out.append(",\"dur\":");
+      AppendTimestamp(&out, e.dur_ns);
+    }
+    out.append(",\"pid\":");
+    AppendInt(&out, e.pid);
+    out.append(",\"tid\":");
+    AppendInt(&out, e.tid);
+    if (e.ph == 's' || e.ph == 'f' || e.ph == 'b' || e.ph == 'e' ||
+        e.ph == 'n') {
+      out.append(",\"id\":\"0x");
+      AppendInt(&out, e.id, 16);
+      out.push_back('"');
+      // Flow ends bind to the enclosing slice.
+      if (e.ph == 'f') out.append(",\"bp\":\"e\"");
+    }
+    if (e.ph == 'C') {
+      out.append(",\"args\":{\"value\":");
+      AppendInt(&out, e.id);
+      out.push_back('}');
+    } else if (e.nargs > 0 || !e.detail.empty()) {
+      out.append(",\"args\":{");
+      for (int i = 0; i < e.nargs; ++i) {
+        if (i > 0) out.push_back(',');
+        out.append("\"");
+        AppendJsonEscaped(&out, e.args[i].key);
+        out.append("\":");
+        AppendInt(&out, e.args[i].value);
+      }
+      if (!e.detail.empty()) {
+        if (e.nargs > 0) out.push_back(',');
+        out.append("\"detail\":\"");
+        AppendJsonEscaped(&out, e.detail);
+        out.append("\"");
       }
       out.push_back('}');
     }
+    out.push_back('}');
   }
-  out.append("\n],\"displayTimeUnit\":\"ms\"}\n");
+  if (reason != nullptr) {
+    // The post-mortem's closing event: the reason, stamped at dump time.
+    sep();
+    out.append(
+        "{\"name\":\"postmortem\",\"cat\":\"obs\",\"ph\":\"i\",\"ts\":");
+    AppendTimestamp(&out, NowNs());
+    out.append(",\"pid\":0,\"tid\":0,\"args\":{\"reason\":\"");
+    AppendJsonEscaped(&out, *reason);
+    out.append("\"}}");
+  }
+  out.append("\n],\"displayTimeUnit\":\"ms\"");
+  if (reason != nullptr && !run_context_.empty()) {
+    out.append(",\"runContext\":\"");
+    AppendJsonEscaped(&out, run_context_);
+    out.append("\"");
+  }
+  out.append("}\n");
   return out;
 }
 
 Status TraceRecorder::WriteJson(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status(StatusCode::kInternal, "cannot open trace file " + path);
-  }
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != json.size() || close_rc != 0) {
-    return Status(StatusCode::kInternal, "short write to trace file " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, ToJson(), "trace file");
+}
+
+void TraceRecorder::SetRunContext(const std::string& context) {
+  std::lock_guard<std::mutex> lock(dump_mu_);
+  run_context_ = context;
+}
+
+Status TraceRecorder::DumpPostmortem(const std::string& reason) {
+  std::lock_guard<std::mutex> lock(dump_mu_);
+  const std::size_t ordinal =
+      dumps_.fetch_add(1, std::memory_order_relaxed) + 1;
+  Instant("postmortem_dump", "obs", {{"ordinal", ordinal}});
+  last_dump_json_ = Render(&reason);
+  if (options_.dump_path.empty()) return Status::Ok();
+  return WriteTextFile(options_.dump_path, last_dump_json_,
+                       "post-mortem file");
+}
+
+std::string TraceRecorder::last_dump_json() const {
+  std::lock_guard<std::mutex> lock(dump_mu_);
+  return last_dump_json_;
 }
 
 }  // namespace tpart::obs

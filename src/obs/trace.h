@@ -1,8 +1,16 @@
 #ifndef TPART_OBS_TRACE_H_
 #define TPART_OBS_TRACE_H_
 
-// Event-level tracing for the whole engine, emitted as Chrome
-// trace-event JSON (loadable in Perfetto / chrome://tracing).
+// The engine's one event recorder, emitted as Chrome trace-event JSON
+// (loadable in Perfetto / chrome://tracing). Every instrumentation site
+// writes one event; the installed recorder's retention policy decides
+// what is kept:
+//   full capture (ring_size == 0)  every event, for --trace;
+//   last-N ring  (ring_size == N)  each thread's newest N events — the
+//                                  always-on black box whose tail
+//                                  DumpPostmortem() renders when a fault
+//                                  path fires (stall diagnostic, failover,
+//                                  migration abort).
 //
 // Design goals, in order:
 //  1. Near-zero cost when off. Instrumentation sites go through the
@@ -16,15 +24,17 @@
 //     AdvanceTo() (driven by SimTime) and the explicit *At() emitters,
 //     so two same-seed simulator runs produce byte-identical JSON —
 //     traces are diffable artifacts.
-//  3. Low overhead when on. Events are buffered per thread (one
+//  3. Low, bounded overhead when on. Events are buffered per thread (one
 //     registration per thread per recorder, then an uncontended
 //     per-buffer mutex), names/categories are static strings, and
-//     nothing is formatted until export.
+//     nothing is formatted until export. A ring preallocates its N slots
+//     and overwrites the oldest, so recording allocates nothing in steady
+//     state and memory stays at ring_size * sizeof(Event) per thread.
 //
 // Event taxonomy (see DESIGN.md "Observability"):
 //   duration spans (B/E)  nested begin/end pairs on one thread;
 //   instants (i)          point events, optionally with a free-text
-//                         detail (StallDiagnostic, crash markers);
+//                         detail (stall diagnostics, fault markers);
 //   counters (C)          named time series (queue depths, T-graph size);
 //   flow events (s/f)     arrows between spans on different threads or
 //                         machines — forward-pushes render as an arrow
@@ -68,13 +78,24 @@ class TraceRecorder {
     kManual,
   };
 
-  explicit TraceRecorder(ClockDomain domain = ClockDomain::kSteady);
+  struct Options {
+    ClockDomain domain = ClockDomain::kSteady;
+    /// 0 keeps every event (full capture); N keeps each thread's newest
+    /// N (the black box).
+    std::size_t ring_size = 0;
+    /// Post-mortem destination; empty keeps dumps in memory only
+    /// (last_dump_json()).
+    std::string dump_path;
+  };
+
+  TraceRecorder();
+  explicit TraceRecorder(Options options);
   ~TraceRecorder();
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  ClockDomain domain() const { return domain_; }
+  ClockDomain domain() const { return options_.domain; }
 
   /// Manual-domain clock, in ns. Monotonic-max: never moves backwards.
   void AdvanceTo(std::uint64_t ns);
@@ -125,13 +146,29 @@ class TraceRecorder {
                  std::uint64_t id);
 
   // ---- Export ---------------------------------------------------------
-  /// Total events recorded so far (all threads).
+  /// Total events recorded so far (all threads); a ring retains only
+  /// each thread's newest ring_size of them.
   std::size_t event_count() const;
-  /// The full trace as Chrome trace-event JSON. Deterministic: metadata
-  /// first (pids, then tids, in sorted/registration order), then each
-  /// thread's events in emission order.
+  /// The retained events as Chrome trace-event JSON. Deterministic:
+  /// metadata first (pids, then tids, in sorted/registration order), then
+  /// every thread's events merged in stable timestamp order (per-thread
+  /// emission order is kept). An E whose B the ring overwrote is dropped.
   std::string ToJson() const;
   Status WriteJson(const std::string& path) const;
+
+  // ---- Post-mortems ---------------------------------------------------
+  /// Run context stamped into every later post-mortem as a top-level
+  /// "runContext" key (chaos seed, fault-schedule summary) so a dump
+  /// pulled off CI identifies the run that produced it.
+  void SetRunContext(const std::string& context);
+  /// Records a postmortem_dump marker, renders ToJson() plus a closing
+  /// "postmortem" event carrying `reason` (and the run context), keeps it
+  /// in last_dump_json() and writes it to options.dump_path when set.
+  /// Later dumps overwrite earlier files; the retained events keep every
+  /// earlier marker still in window.
+  Status DumpPostmortem(const std::string& reason);
+  std::size_t dumps() const { return dumps_.load(std::memory_order_relaxed); }
+  std::string last_dump_json() const;
 
  private:
   struct Event {
@@ -152,7 +189,10 @@ class TraceRecorder {
 
   struct ThreadLog {
     std::mutex mu;
+    /// Full capture: every event in emission order. Ring: ring_size
+    /// preallocated slots; the k-th event appended lives at k % ring_size.
     std::vector<Event> events;
+    std::uint64_t appended = 0;
     /// Open Begin()s, for End() naming and balance.
     std::vector<std::pair<const char*, const char*>> open_spans;
     int pid = 0;
@@ -161,19 +201,29 @@ class TraceRecorder {
   };
 
   ThreadLog* Log();
+  /// Stores `e` under the retention policy; the caller holds log->mu.
+  void Store(ThreadLog* log, Event&& e);
   void Append(ThreadLog* log, Event e);
   void AppendHere(Event e);
+  /// ToJson(), plus the closing postmortem event and the run context
+  /// when `reason` is set (the caller then holds dump_mu_).
+  std::string Render(const std::string* reason) const;
 
-  const ClockDomain domain_;
+  const Options options_;
   const std::uint64_t recorder_id_;
   const std::chrono::steady_clock::time_point t0_;
   std::atomic<std::uint64_t> manual_ns_{0};
-  std::atomic<std::size_t> event_count_{0};
 
   mutable std::mutex registry_mu_;
   std::vector<std::unique_ptr<ThreadLog>> logs_;
   int next_tid_ = 0;
   std::map<int, std::string> process_names_;
+
+  std::atomic<std::size_t> dumps_{0};
+  /// Guards last_dump_json_ and run_context_; serialises dumps.
+  mutable std::mutex dump_mu_;
+  std::string last_dump_json_;
+  std::string run_context_;
 };
 
 /// Stable id for a forward-push flow arrow: the producing transaction
@@ -221,7 +271,8 @@ class TraceSpan {
 // ---- Instrumentation macros -------------------------------------------
 // TPART_TRACE(Call(...)) invokes TraceRecorder::Call on the global
 // recorder when one is installed; TPART_TRACE_SPAN opens an RAII span for
-// the enclosing scope. Both compile away under TPART_TRACING_DISABLED.
+// the enclosing scope; TPART_TRACE_DUMP(reason) writes a post-mortem. All
+// compile away under TPART_TRACING_DISABLED.
 
 #if !defined(TPART_TRACING_DISABLED)
 
@@ -252,5 +303,7 @@ class TraceSpan {
   } while (0)
 
 #endif  // TPART_TRACING_DISABLED
+
+#define TPART_TRACE_DUMP(reason) TPART_TRACE(DumpPostmortem(reason))
 
 #endif  // TPART_OBS_TRACE_H_

@@ -18,7 +18,6 @@
 #include "elastic/migration.h"
 #include "net/resend_window.h"
 #include "net/wire.h"
-#include "obs/flight_recorder.h"
 #include "obs/live_sampler.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
@@ -421,8 +420,8 @@ ClusterRunOutcome LocalCluster::RunTPart() {
           hb.term = hb_term;
           transport_->Send(0, static_cast<MachineId>(m), std::move(hb));
         }
-        const auto now = std::chrono::steady_clock::now();
-        const std::uint64_t now_us = us_since_start(now);
+        auto now = std::chrono::steady_clock::now();
+        std::uint64_t now_us = us_since_start(now);
         const std::uint64_t fe =
             fault_epoch_live.load(std::memory_order_acquire);
         {
@@ -478,8 +477,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
           declared[m] = true;
           TPART_TRACE(Instant("failure_declared", "fault",
                               {{"machine", m}, {"last_seen", last_seen[m]}}));
-          TPART_FLIGHT(obs::FlightEvent::kFailureDeclared, 0, m,
-                       last_seen[m]);
           const std::string diag = machines_[m]->StallDiagnostic();
           const bool recoverable = crash.enabled() && crash_scheduled[m] &&
                                    crash.recover && machines_[m]->crashed();
@@ -553,6 +550,10 @@ ClusterRunOutcome LocalCluster::RunTPart() {
             last_alive[k] = after_recovery;
             detector.Excuse(k, after_us);
           }
+          // The rest of this scan must stamp progress at the restarted
+          // clock too, not at the pre-recovery scan time.
+          now = after_recovery;
+          now_us = after_us;
           // The rebuilt machine's timing regime may differ from its
           // pre-crash one; drop its inter-arrival history entirely.
           detector.Reset(m, after_us);
@@ -744,8 +745,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
       auto emit = [&](TxnBatch batch) -> bool {
         TPART_TRACE_SPAN("admit_batch", "pipeline",
                          {{"txns", batch.txns.size()}});
-        TPART_FLIGHT(obs::FlightEvent::kAdmitBatch, 0, batch.batch_id,
-                     batch.txns.size());
         if (coord_on && !coordinator_->LeaderAppend(batch)) return false;
         const auto now = std::chrono::steady_clock::now();
         {
@@ -820,8 +819,9 @@ ClusterRunOutcome LocalCluster::RunTPart() {
       std::unordered_map<TxnId, TxnSpec> parked;
       int hot_refresh_countdown = 16;
       auto emit = [&](SinkPlan plan) {
-        TPART_FLIGHT(obs::FlightEvent::kScheduleRound, 0, plan.epoch,
-                     plan.txns.size());
+        TPART_TRACE(Instant("schedule_round", "pipeline",
+                            {{"epoch", plan.epoch},
+                             {"txns", plan.txns.size()}}));
         PlanEnvelope env;
         env.specs.reserve(plan.txns.size());
         for (const TxnPlan& p : plan.txns) {
@@ -964,9 +964,11 @@ ClusterRunOutcome LocalCluster::RunTPart() {
               << elastic_->step(steps_done).cut_epoch
               << ") failed: " << step_status.message();
           declare_fault(out.str());
-          TPART_FLIGHT(obs::FlightEvent::kMigrationAbort, 0, steps_done,
-                       elastic_->step(steps_done).cut_epoch);
-          TPART_FLIGHT_DUMP("migration_abort");
+          TPART_TRACE(Instant("migration_abort", "fault",
+                              {{"step", steps_done},
+                               {"cut_epoch",
+                                elastic_->step(steps_done).cut_epoch}}));
+          TPART_TRACE_DUMP("migration_abort");
           // Abandon the remaining schedule; the doomed run still drains.
           steps_done = elastic_->num_steps();
           break;
@@ -981,8 +983,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
       // credits, so the credit ledger stays exactly balanced).
       TPART_TRACE_SPAN("disseminate", "pipeline",
                        {{"epoch", epoch}, {"txns", (*env)->plan.txns.size()}});
-      TPART_FLIGHT(obs::FlightEvent::kDisseminateRound, 0, epoch,
-                   (*env)->plan.txns.size());
       Message msg;
       msg.type = Message::Type::kSinkPlan;
       msg.epoch = epoch;
@@ -1114,7 +1114,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
           }
         }
         ++failover.zombie_revivals;
-        TPART_FLIGHT(obs::FlightEvent::kZombieRevival, 0, zombie_term, epoch);
         TPART_TRACE(Instant("zombie_revival", "fault",
                             {{"stale_term", zombie_term},
                              {"epoch", epoch}}));
@@ -1140,7 +1139,8 @@ ClusterRunOutcome LocalCluster::RunTPart() {
         coordinator_->CrashLeader();
         t_crash = std::chrono::steady_clock::now();
         ++failover.coordinator_crashes;
-        TPART_FLIGHT(obs::FlightEvent::kCrashStop, 0, crashed_leader, epoch);
+        TPART_TRACE(Instant("crash_stop", "fault",
+                            {{"leader", crashed_leader}, {"epoch", epoch}}));
         if (revive_at > 0) {
           // The "crashed" leader was only paused: stash the round it had
           // in flight (still stamped with the dying term) so the revival
@@ -1188,8 +1188,9 @@ ClusterRunOutcome LocalCluster::RunTPart() {
     failover.election_us = coordinator_->last_election_us();
     failover.phase_detection_us.Add(failover.detection_latency_us);
     failover.phase_election_us.Add(failover.election_us);
-    TPART_FLIGHT(obs::FlightEvent::kElectionWon, 0, failover.elections_won,
-                 failover.detection_latency_us);
+    TPART_TRACE(Instant("election_won", "fault",
+                        {{"term", failover.elections_won},
+                         {"detection_us", failover.detection_latency_us}}));
     // A leader outage plus an election takes long enough that any sever
     // window active at the crash has healed by the time the successor
     // runs. Advance the fault clock past those windows before probing:
@@ -1220,9 +1221,10 @@ ClusterRunOutcome LocalCluster::RunTPart() {
     pending_replan_stamp = true;
     // New-term post-mortem: the dump tail carries the leader crash-stop
     // and the election that ended it.
-    TPART_FLIGHT(obs::FlightEvent::kTermStart, 0, failover.elections_won,
-                 catchup_through);
-    TPART_FLIGHT_DUMP("failover");
+    TPART_TRACE(Instant("term_start", "fault",
+                        {{"term", failover.elections_won},
+                         {"catchup_through", catchup_through}}));
+    TPART_TRACE_DUMP("failover");
   }
   // Heal every remaining link fault before the end-of-stream barrier:
   // the reliability layer must complete delivery of everything a severed
@@ -1494,8 +1496,9 @@ Status LocalCluster::RunMembershipStep(std::size_t step_idx,
           .count());
   stats.barrier_us += step_barrier_us;
   stats.phase_barrier_us.Add(step_barrier_us);
-  TPART_FLIGHT(obs::FlightEvent::kMigrationStep, 0, step.cut_epoch,
-               routes.size());
+  TPART_TRACE(Instant("migration_step", "elastic",
+                      {{"cut_epoch", step.cut_epoch},
+                       {"routes", routes.size()}}));
   return Status::Ok();
 }
 

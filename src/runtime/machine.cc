@@ -9,7 +9,6 @@
 #include "elastic/migration.h"
 #include "exec/serial_executor.h"
 #include "net/wire.h"
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "txn/rw_set.h"
@@ -197,8 +196,6 @@ void Machine::Dispatch(Message msg) {
                               {{"machine", id_},
                                {"stale_term", msg.term},
                                {"current_term", seen}}));
-          TPART_FLIGHT(obs::FlightEvent::kFencedMessage, 1 + id_, msg.term,
-                       seen);
           return;
         default:
           break;
@@ -420,8 +417,8 @@ void Machine::HandleSinkPlan(Message msg) {
                                << " plan for T" << p.txn << " has no spec";
     slice.push_back(PlanItem{std::move(p), std::move(node.mapped())});
   }
-  TPART_FLIGHT(obs::FlightEvent::kRoundReceived, 1 + id_, plan->epoch,
-               slice.size());
+  TPART_TRACE(Instant("round_received", "pipeline",
+                      {{"epoch", plan->epoch}, {"slice", slice.size()}}));
   // Causal timelines: the wire-carried trace context names the origin
   // and coordinator term, so a sampled transaction's receive marker
   // stitches into its cross-machine span even across failover terms.
@@ -643,7 +640,6 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
 
   TPART_TRACE_SPAN("txn", is_replay ? "replay" : "exec",
                    {{"txn", p.txn}, {"epoch", epoch}});
-  TPART_FLIGHT(obs::FlightEvent::kExecute, 1 + id_, p.txn, epoch);
   if (obs::SampledTxn(p.txn, txn_sample_)) {
     TPART_TRACE(AsyncInstant(is_replay ? "replayed" : "executed", "timeline",
                              p.txn, {{"machine", id_}, {"epoch", epoch}}));
@@ -949,7 +945,6 @@ void Machine::CrashStop(SinkEpoch resume) {
   run_state_.store(RunState::kDown, std::memory_order_release);
   TPART_TRACE(Instant("crash_stop", "fault",
                       {{"machine", id_}, {"resume_epoch", resume}}));
-  TPART_FLIGHT(obs::FlightEvent::kCrashStop, 1 + id_, id_, resume);
 }
 
 bool Machine::crashed() const {
@@ -1134,7 +1129,6 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
   }
   TPART_TRACE(Instant("replay_done", "fault",
                       {{"machine", id_}, {"replayed", replayed}}));
-  TPART_FLIGHT(obs::FlightEvent::kRecover, 1 + id_, id_, replayed);
   return replayed;
 }
 
@@ -1222,7 +1216,8 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
   // Publish the epoch last: once visible, the cluster may prune resend
   // rounds <= epoch, which is only safe after the images are complete.
   cp.set_epoch(epoch);
-  TPART_FLIGHT(obs::FlightEvent::kCheckpoint, 1 + id_, id_, epoch);
+  TPART_TRACE(Instant("checkpoint", "recovery",
+                      {{"machine", id_}, {"epoch", epoch}}));
 
   {
     std::lock_guard<std::mutex> lock(ckpt_mu_);
@@ -1594,11 +1589,9 @@ std::string Machine::StallDiagnostic() const {
                       text));
   // A stall diagnostic only fires on fault paths (expired executor waits,
   // drain/fence timeouts, failure declarations), so it doubles as the
-  // flight recorder's auto-dump trigger: the post-mortem tail carries
-  // this marker plus whatever led up to it.
-  TPART_FLIGHT(obs::FlightEvent::kStall, 1 + id_, id_,
-               executed_plans_.load(std::memory_order_relaxed));
-  TPART_FLIGHT_DUMP("stall");
+  // black box's auto-dump trigger: the post-mortem tail carries this
+  // marker plus whatever led up to it.
+  TPART_TRACE_DUMP("stall");
   return text;
 }
 

@@ -241,14 +241,45 @@ TEST(FlagsTest, ParsesValuesAndFallsBackToDefaults) {
        name[] = "--workload=tpcc", runtime[] = "--runtime";
   char* argv[] = {prog, txns, drop, name, runtime};
   const int argc = 5;
-  EXPECT_EQ(IntFlag(argc, argv, "txns", 7), 250);
-  EXPECT_EQ(IntFlag(argc, argv, "machines", 7), 7);
+  EXPECT_EQ(IntFlag(argc, argv, "txns", 7), 250u);
+  EXPECT_EQ(IntFlag(argc, argv, "machines", 7), 7u);
   EXPECT_DOUBLE_EQ(DoubleFlag(argc, argv, "drop", 0.0), 0.25);
   EXPECT_DOUBLE_EQ(DoubleFlag(argc, argv, "dup", 0.5), 0.5);
   EXPECT_EQ(StringFlag(argc, argv, "workload", "micro"), "tpcc");
   EXPECT_EQ(StringFlag(argc, argv, "engine", "both"), "both");
   EXPECT_TRUE(BoolFlag(argc, argv, "runtime"));
   EXPECT_FALSE(BoolFlag(argc, argv, "gstore"));
+}
+
+TEST(FlagsTest, StrideFlagAcceptsBothForms) {
+  char prog[] = "prog", plain[] = "--txn-sample=64",
+       stride[] = "--txn-sample=1/32";
+  char* with_plain[] = {prog, plain};
+  EXPECT_EQ(StrideFlag(2, with_plain, "txn-sample", 0), 64u);
+  char* with_stride[] = {prog, stride};
+  EXPECT_EQ(StrideFlag(2, with_stride, "txn-sample", 0), 32u);
+  EXPECT_EQ(StrideFlag(1, with_stride, "txn-sample", 0), 0u);
+}
+
+// A value that does not parse in full exits 2 naming the flag and value,
+// instead of silently running a different experiment.
+TEST(FlagsTest, MalformedValuesExitWithStatusTwo) {
+  char prog[] = "prog", txns[] = "--txns=2k", every[] = "--sample-every=-1",
+       drop[] = "--drop=0.1x", sample[] = "--txn-sample=1/x";
+  char* with_txns[] = {prog, txns};
+  EXPECT_EXIT(IntFlag(2, with_txns, "txns", 7),
+              ::testing::ExitedWithCode(2), "bad value for --txns: 2k");
+  char* with_every[] = {prog, every};
+  EXPECT_EXIT(IntFlag(2, with_every, "sample-every", 1),
+              ::testing::ExitedWithCode(2),
+              "bad value for --sample-every: -1");
+  char* with_drop[] = {prog, drop};
+  EXPECT_EXIT(DoubleFlag(2, with_drop, "drop", 0.0),
+              ::testing::ExitedWithCode(2), "bad value for --drop: 0.1x");
+  char* with_sample[] = {prog, sample};
+  EXPECT_EXIT(StrideFlag(2, with_sample, "txn-sample", 0),
+              ::testing::ExitedWithCode(2),
+              "bad value for --txn-sample: 1/x");
 }
 
 TEST(FlagsTest, FirstUnknownFlagNamesTheStrayArgument) {

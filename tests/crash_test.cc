@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "runtime/channel.h"
 #include "runtime/cluster.h"
 #include "runtime/storage_service.h"
@@ -363,7 +363,7 @@ TEST(CrashTest, DetectionOnlySurfacesUnavailableWithDiagnostic) {
 }
 
 // ---------------------------------------------------------------------
-// Flight recorder: every declared fault ships a post-mortem whose tail
+// Post-mortems: every declared fault ships a post-mortem whose tail
 // carries the fault markers.
 // ---------------------------------------------------------------------
 
@@ -385,40 +385,51 @@ TEST(CrashTest, ChaosCrashProducesLoadablePostmortem) {
 #if defined(TPART_TRACING_DISABLED)
   GTEST_SKIP() << "instrumentation compiled out (TPART_DISABLE_TRACING)";
 #endif
-  obs::FlightRecorder rec;
-  obs::InstallGlobalFlightRecorder(&rec);
-  const Workload w = MakeMicroWorkload(SmallMicro());
-  const RunSnapshot got =
-      RunOnce(w, CrashOpts(TransportKind::kDirect, 1, 3));
-  obs::InstallGlobalFlightRecorder(nullptr);
-  ExpectRecovered(got.out, 1);
+  // Both retention policies render the same post-mortem: the black box
+  // (each thread's newest 4096 events) and --trace's full capture.
+  for (const std::size_t ring_size : {std::size_t{4096}, std::size_t{0}}) {
+    SCOPED_TRACE("ring_size=" + std::to_string(ring_size));
+    obs::TraceRecorder::Options o;
+    o.ring_size = ring_size;
+    obs::TraceRecorder rec(o);
+    obs::InstallGlobalTrace(&rec);
+    const Workload w = MakeMicroWorkload(SmallMicro());
+    const RunSnapshot got =
+        RunOnce(w, CrashOpts(TransportKind::kDirect, 1, 3));
+    obs::InstallGlobalTrace(nullptr);
+    ExpectRecovered(got.out, 1);
 
-  // The watchdog's stall diagnostic fired on the crashed machine and
-  // dumped the black box.
-  ASSERT_GE(rec.dumps(), 1u);
-  const std::string json = rec.last_dump_json();
-  EXPECT_TRUE(LooksLikeChromeTrace(json)) << json.substr(0, 200);
-  EXPECT_NE(json.find("\"name\":\"crash_stop\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"failure_declared\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"stall\""), std::string::npos);
-  EXPECT_NE(json.find("\"reason\":\"stall\""), std::string::npos);
-  // The fault markers sit in the tail, after the steady-state stream.
-  EXPECT_GT(json.find("\"name\":\"crash_stop\""),
-            json.find("\"name\":\"admit_batch\""));
+    // The watchdog's stall diagnostic fired on the crashed machine and
+    // dumped the recorder.
+    ASSERT_GE(rec.dumps(), 1u);
+    const std::string json = rec.last_dump_json();
+    EXPECT_TRUE(LooksLikeChromeTrace(json)) << json.substr(0, 200);
+    EXPECT_NE(json.find("\"name\":\"crash_stop\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"failure_declared\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"stall_diagnostic\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"reason\":\"stall\""), std::string::npos);
+    // The fault markers sit in the tail, after the steady-state stream.
+    EXPECT_GT(json.find("\"name\":\"crash_stop\""),
+              json.find("\"name\":\"admit_batch\""));
+  }
 }
 
 TEST(CrashTest, InducedStallWithoutRecoveryDumpsPostmortem) {
 #if defined(TPART_TRACING_DISABLED)
   GTEST_SKIP() << "instrumentation compiled out (TPART_DISABLE_TRACING)";
 #endif
-  obs::FlightRecorder rec;
-  obs::InstallGlobalFlightRecorder(&rec);
+  obs::TraceRecorder::Options o;
+  o.ring_size = 4096;
+  obs::TraceRecorder rec(o);
+  obs::InstallGlobalTrace(&rec);
   const Workload w = MakeMicroWorkload(SmallMicro());
   LocalClusterOptions opts = CrashOpts(TransportKind::kDirect, 1, 2);
   opts.crash.recover = false;  // fault surfaces instead of recovering
   LocalCluster cluster(&w, opts);
   const ClusterRunOutcome out = cluster.RunTPart();
-  obs::InstallGlobalFlightRecorder(nullptr);
+  obs::InstallGlobalTrace(nullptr);
   EXPECT_FALSE(out.fault.ok());
 
   ASSERT_GE(rec.dumps(), 1u);

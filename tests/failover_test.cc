@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "runtime/channel.h"
 #include "runtime/cluster.h"
 #include "runtime/coordinator.h"
@@ -473,7 +473,7 @@ TEST(FailoverTest, OutOfOrderAppendsParkUntilGapFills) {
 }
 
 // ---------------------------------------------------------------------
-// Flight recorder: a coordinator failover dumps a post-mortem whose tail
+// Black box: a coordinator failover dumps a post-mortem whose tail
 // carries the election and term-start markers.
 // ---------------------------------------------------------------------
 
@@ -481,12 +481,14 @@ TEST(FailoverTest, CoordinatorFailoverProducesLoadablePostmortem) {
 #if defined(TPART_TRACING_DISABLED)
   GTEST_SKIP() << "instrumentation compiled out (TPART_DISABLE_TRACING)";
 #endif
-  obs::FlightRecorder rec;
-  obs::InstallGlobalFlightRecorder(&rec);
+  obs::TraceRecorder::Options o;
+  o.ring_size = 4096;
+  obs::TraceRecorder rec(o);
+  obs::InstallGlobalTrace(&rec);
   const Workload w = MakeMicroWorkload(SmallMicro());
   const RunSnapshot got =
       RunOnce(w, FailoverOpts(TransportKind::kDirect, 5, /*standbys=*/2));
-  obs::InstallGlobalFlightRecorder(nullptr);
+  obs::InstallGlobalTrace(nullptr);
   ExpectFailedOver(got.out, 1);
 
   ASSERT_GE(rec.dumps(), 1u);

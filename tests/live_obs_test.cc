@@ -1,8 +1,7 @@
 // Live observability plane tests: the metric-name convention and the
 // audit of every PublishTo() implementation against it, the LiveSampler
 // in both clock domains (wall-clock background thread and deterministic
-// sink-epoch ticks), the black-box flight recorder's ring/overwrite/
-// post-mortem behaviour, the loopback /metrics HTTP endpoint, the
+// sink-epoch ticks), the loopback /metrics HTTP endpoint, the
 // packed per-transaction trace context, and an end-to-end streaming
 // run with the sampler armed and per-transaction timelines sampled.
 
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "metrics/run_stats.h"
-#include "obs/flight_recorder.h"
 #include "obs/live_sampler.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -295,97 +293,6 @@ TEST(LiveSamplerTest, WriteJsonlRoundTrips) {
   std::fclose(f);
   std::remove(path.c_str());
   EXPECT_EQ(std::string(buf, n), sampler.Jsonl());
-}
-
-// ---------------------------------------------------------------------
-// Flight recorder.
-// ---------------------------------------------------------------------
-
-TEST(FlightRecorderTest, RecordsAndDumpsChromeTracePostmortem) {
-  obs::FlightRecorder rec;
-  rec.Record(obs::FlightEvent::kAdmitBatch, 0, 1, 100);
-  rec.Record(obs::FlightEvent::kScheduleRound, 0, 1, 20);
-  std::thread t([&] {
-    rec.Record(obs::FlightEvent::kExecute, 2, 7, 1);
-    rec.Record(obs::FlightEvent::kCrashStop, 2, 1, 3);
-  });
-  t.join();
-  EXPECT_EQ(rec.recorded(), 4u);
-  EXPECT_EQ(rec.dumps(), 0u);
-
-  ASSERT_TRUE(rec.DumpPostmortem("crash").ok());
-  EXPECT_EQ(rec.dumps(), 1u);
-  const std::string json = rec.last_dump_json();
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"admit_batch\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"schedule_round\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"execute\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"crash_stop\""), std::string::npos);
-  // The dump marker and the reason-carrying post-mortem event close the
-  // trace, in that order.
-  const std::size_t dump_at = json.find("\"name\":\"postmortem_dump\"");
-  const std::size_t reason_at = json.find("\"reason\":\"crash\"");
-  ASSERT_NE(dump_at, std::string::npos);
-  ASSERT_NE(reason_at, std::string::npos);
-  EXPECT_LT(dump_at, reason_at);
-}
-
-TEST(FlightRecorderTest, BoundedRingOverwritesOldest) {
-  obs::FlightRecorder::Options o;
-  o.ring_size = 16;  // the enforced minimum
-  obs::FlightRecorder rec(o);
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    rec.Record(obs::FlightEvent::kExecute, 1, /*txn=*/i, /*epoch=*/1);
-  }
-  EXPECT_EQ(rec.recorded(), 100u);
-  const std::string json = rec.DumpJson();
-  // Only the newest 16 survive: txn 84..99.
-  EXPECT_EQ(json.find("\"a\":83,"), std::string::npos);
-  EXPECT_NE(json.find("\"a\":84,"), std::string::npos);
-  EXPECT_NE(json.find("\"a\":99,"), std::string::npos);
-}
-
-TEST(FlightRecorderTest, DumpWritesFileAndGlobalInstallWorks) {
-  const std::string path = ::testing::TempDir() + "live_obs_postmortem.json";
-  obs::FlightRecorder::Options o;
-  o.dump_path = path;
-  obs::FlightRecorder rec(o);
-  EXPECT_EQ(obs::InstallGlobalFlightRecorder(&rec), nullptr);
-  EXPECT_EQ(obs::GlobalFlightRecorder(), &rec);
-
-#if !defined(TPART_TRACING_DISABLED)
-  TPART_FLIGHT(obs::FlightEvent::kStall, 1, 1, 0);
-  TPART_FLIGHT_DUMP("stall");
-  EXPECT_EQ(rec.recorded(), 2u);  // kStall + the kDump marker
-  EXPECT_EQ(rec.dumps(), 1u);
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string text(1 << 16, '\0');
-  text.resize(std::fread(text.data(), 1, text.size(), f));
-  std::fclose(f);
-  EXPECT_EQ(text, rec.last_dump_json());
-  EXPECT_NE(text.find("\"name\":\"stall\""), std::string::npos);
-  EXPECT_NE(text.find("\"reason\":\"stall\""), std::string::npos);
-#else
-  // Macros compile to nothing; the recorder itself still works directly.
-  TPART_FLIGHT(obs::FlightEvent::kStall, 1, 1, 0);
-  TPART_FLIGHT_DUMP("stall");
-  EXPECT_EQ(rec.recorded(), 0u);
-  EXPECT_EQ(rec.dumps(), 0u);
-#endif
-
-  EXPECT_EQ(obs::InstallGlobalFlightRecorder(nullptr), &rec);
-  std::remove(path.c_str());
-}
-
-TEST(FlightRecorderTest, EscapesReasonAndDropsGarbledSlots) {
-  obs::FlightRecorder rec;
-  rec.Record(obs::FlightEvent::kExecute, 1, 1, 1);
-  const std::string json = rec.DumpJson("line1\nline2 \"quoted\"");
-  EXPECT_NE(json.find("line1\\nline2 \\\"quoted\\\""), std::string::npos);
-  EXPECT_EQ(obs::FlightEventName(static_cast<obs::FlightEvent>(0)), nullptr);
-  EXPECT_EQ(obs::FlightEventName(static_cast<obs::FlightEvent>(9999)),
-            nullptr);
 }
 
 // ---------------------------------------------------------------------

@@ -69,7 +69,9 @@ TEST(OrderedIndexTest, EraseDownToEmptyKeepsInvariants) {
   for (ObjectKey k = 0; k < 2000; ++k) idx.Insert(k);
   for (ObjectKey k = 0; k < 2000; ++k) {
     ASSERT_TRUE(idx.Erase(k));
-    if (k % 251 == 0) ASSERT_TRUE(idx.CheckInvariants());
+    if (k % 251 == 0) {
+      ASSERT_TRUE(idx.CheckInvariants());
+    }
   }
   EXPECT_EQ(idx.size(), 0u);
   EXPECT_TRUE(idx.CheckInvariants());

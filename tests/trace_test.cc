@@ -205,9 +205,9 @@ class JsonParser {
   const char* end_;
 };
 
-JsonValue ParseTrace(const obs::TraceRecorder& rec) {
+JsonValue ParseTrace(const std::string& json) {
   JsonValue root;
-  EXPECT_TRUE(JsonParser(rec.ToJson()).Parse(&root)) << "malformed JSON";
+  EXPECT_TRUE(JsonParser(json).Parse(&root)) << "malformed JSON";
   EXPECT_EQ(root.kind, JsonValue::Kind::kObject);
   const JsonValue* events = root.Get("traceEvents");
   EXPECT_NE(events, nullptr);
@@ -215,12 +215,67 @@ JsonValue ParseTrace(const obs::TraceRecorder& rec) {
   return root;
 }
 
+JsonValue ParseTrace(const obs::TraceRecorder& rec) {
+  return ParseTrace(rec.ToJson());
+}
+
+/// Per (pid, tid): every E closes an earlier B (nesting never goes
+/// negative) and, when `closed`, every B is closed. Returns the E count.
+int ExpectBalancedSpans(const JsonValue& root, bool closed) {
+  std::map<std::pair<int, int>, int> depth;
+  int ends = 0;
+  for (const JsonValue& e : root.Get("traceEvents")->array) {
+    const std::string& ph = e.Get("ph")->str;
+    const auto track = std::make_pair(
+        static_cast<int>(e.Get("pid")->number),
+        static_cast<int>(e.Get("tid")->number));
+    if (ph == "B") ++depth[track];
+    if (ph == "E") {
+      ++ends;
+      --depth[track];
+      EXPECT_GE(depth[track], 0) << "End without Begin on a thread";
+    }
+  }
+  if (closed) {
+    for (const auto& [track, d] : depth) {
+      EXPECT_EQ(d, 0) << "unbalanced spans on tid " << track.second;
+    }
+  }
+  return ends;
+}
+
+obs::TraceRecorder::Options Manual() {
+  obs::TraceRecorder::Options o;
+  o.domain = obs::TraceRecorder::ClockDomain::kManual;
+  return o;
+}
+
+obs::TraceRecorder::Options Ring(std::size_t n) {
+  obs::TraceRecorder::Options o;
+  o.ring_size = n;
+  return o;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return {};
+  std::string content;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    content.append(buf, n);
+  }
+  std::fclose(f);
+  return content;
+}
+
 // ---------------------------------------------------------------------
 // Recorder unit tests
 // ---------------------------------------------------------------------
 
 TEST(TraceRecorderTest, ManualClockIsMonotonicMax) {
-  obs::TraceRecorder rec(obs::TraceRecorder::ClockDomain::kManual);
+  obs::TraceRecorder rec(Manual());
   EXPECT_EQ(rec.NowNs(), 0u);
   rec.AdvanceTo(1000);
   EXPECT_EQ(rec.NowNs(), 1000u);
@@ -231,7 +286,7 @@ TEST(TraceRecorderTest, ManualClockIsMonotonicMax) {
 }
 
 TEST(TraceRecorderTest, EmitsWellFormedJsonForEveryEventKind) {
-  obs::TraceRecorder rec(obs::TraceRecorder::ClockDomain::kManual);
+  obs::TraceRecorder rec(Manual());
   rec.SetProcessName(0, "control");
   rec.SetProcessName(1, "machine-0");
   rec.SetThreadInfo(0, "main");
@@ -291,24 +346,8 @@ TEST(TraceRecorderTest, SpanBeginEndBalancePerThread) {
   for (auto& t : threads) t.join();
   obs::InstallGlobalTrace(nullptr);
 
-  const JsonValue root = ParseTrace(rec);
-  // Per (pid, tid): every B has a matching E and nesting never goes
-  // negative (events are exported in per-thread emission order).
-  std::map<std::pair<int, int>, int> depth;
-  for (const JsonValue& e : root.Get("traceEvents")->array) {
-    const std::string& ph = e.Get("ph")->str;
-    const auto track = std::make_pair(
-        static_cast<int>(e.Get("pid")->number),
-        static_cast<int>(e.Get("tid")->number));
-    if (ph == "B") ++depth[track];
-    if (ph == "E") {
-      --depth[track];
-      ASSERT_GE(depth[track], 0) << "End without Begin on a thread";
-    }
-  }
-  for (const auto& [track, d] : depth) {
-    EXPECT_EQ(d, 0) << "unbalanced spans on tid " << track.second;
-  }
+  // Events are exported in per-thread emission order.
+  ExpectBalancedSpans(ParseTrace(rec), /*closed=*/true);
 }
 
 TEST(TraceRecorderTest, NoRecorderInstalledMeansMacrosAreNoOps) {
@@ -332,22 +371,128 @@ TEST(TraceRecorderTest, DestructorUninstallsItself) {
 }
 
 TEST(TraceRecorderTest, WriteJsonRoundTrips) {
-  obs::TraceRecorder rec(obs::TraceRecorder::ClockDomain::kManual);
+  obs::TraceRecorder rec(Manual());
   rec.SetThreadInfo(0, "main");
   rec.Instant("only", "test");
   const std::string path =
       ::testing::TempDir() + "/tpart_trace_test_out.json";
   ASSERT_TRUE(rec.WriteJson(path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string content;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    content.append(buf, n);
+  EXPECT_EQ(ReadFile(path), rec.ToJson());
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Last-N retention (the black box) and post-mortems
+// ---------------------------------------------------------------------
+
+TEST(TraceRingTest, RecordsAndDumpsChromeTracePostmortem) {
+  obs::TraceRecorder rec(Ring(4096));
+  rec.Instant("admit_batch", "test", {{"txns", 100}});
+  rec.Instant("schedule_round", "test", {{"epoch", 1}, {"txns", 20}});
+  std::thread t([&] {
+    rec.Instant("execute", "test", {{"txn", 7}});
+    rec.Instant("crash_stop", "test", {{"machine", 1}});
+  });
+  t.join();
+  EXPECT_EQ(rec.event_count(), 4u);
+  EXPECT_EQ(rec.dumps(), 0u);
+
+  ASSERT_TRUE(rec.DumpPostmortem("crash").ok());
+  EXPECT_EQ(rec.dumps(), 1u);
+  const std::string json = rec.last_dump_json();
+  const JsonValue root = ParseTrace(json);
+  for (const char* name :
+       {"admit_batch", "schedule_round", "execute", "crash_stop"}) {
+    EXPECT_NE(json.find("\"name\":\"" + std::string(name) + "\""),
+              std::string::npos)
+        << name;
   }
-  std::fclose(f);
-  EXPECT_EQ(content, rec.ToJson());
+  // The dump marker and the reason-carrying post-mortem event close the
+  // trace, in that order.
+  const auto& events = root.Get("traceEvents")->array;
+  ASSERT_GE(events.size(), 2u);
+  EXPECT_EQ(events[events.size() - 2].Get("name")->str, "postmortem_dump");
+  EXPECT_EQ(events.back().Get("name")->str, "postmortem");
+  EXPECT_EQ(events.back().Get("args")->Get("reason")->str, "crash");
+}
+
+TEST(TraceRingTest, BoundedRingOverwritesOldest) {
+  obs::TraceRecorder rec(Ring(16));
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    rec.Instant("execute", "test", {{"txn", i}});
+  }
+  EXPECT_EQ(rec.event_count(), 100u);
+  const std::string json = rec.ToJson();
+  // Only the newest 16 survive: txn 84..99.
+  EXPECT_EQ(json.find("\"txn\":83}"), std::string::npos);
+  EXPECT_NE(json.find("\"txn\":84}"), std::string::npos);
+  EXPECT_NE(json.find("\"txn\":99}"), std::string::npos);
+  EXPECT_EQ(ParseTrace(json).Get("traceEvents")->array.size(), 16u);
+}
+
+TEST(TraceRingTest, NestedSpansPastRingRenderNoOrphanEnd) {
+  obs::TraceRecorder rec(Ring(16));
+  std::thread t([&rec] {
+    rec.SetThreadInfo(1, "executor");
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      obs::TraceSpan outer(&rec, "round", "test", {{"i", i}});
+      obs::TraceSpan mid(&rec, "txn", "test");
+      obs::TraceSpan inner(&rec, "gather", "test");
+      rec.Instant("tick", "test");
+    }
+  });
+  t.join();
+  EXPECT_EQ(rec.event_count(), 40u * 7);
+  // The ring's oldest retained events include Ends whose Begins were
+  // overwritten; the renderer drops those, so nesting never goes
+  // negative, and the newest spans still close.
+  EXPECT_GT(ExpectBalancedSpans(ParseTrace(rec), /*closed=*/false), 0);
+}
+
+TEST(TraceRingTest, DumpWritesFileAndGlobalInstallWorks) {
+  const std::string path = ::testing::TempDir() + "trace_postmortem.json";
+  obs::TraceRecorder::Options o = Ring(64);
+  o.dump_path = path;
+  obs::TraceRecorder rec(o);
+  EXPECT_EQ(obs::InstallGlobalTrace(&rec), nullptr);
+  EXPECT_EQ(obs::GlobalTrace(), &rec);
+
+  TPART_TRACE(Instant("stall_diagnostic", "fault", {{"machine", 1}},
+                      "executor waiting"));
+  TPART_TRACE_DUMP("stall");
+#if !defined(TPART_TRACING_DISABLED)
+  EXPECT_EQ(rec.event_count(), 2u);  // the marker + postmortem_dump
+  EXPECT_EQ(rec.dumps(), 1u);
+  const std::string text = ReadFile(path);
+  EXPECT_EQ(text, rec.last_dump_json());
+  EXPECT_NE(text.find("\"name\":\"stall_diagnostic\""), std::string::npos);
+  EXPECT_NE(text.find("\"detail\":\"executor waiting\""),
+            std::string::npos);
+  EXPECT_NE(text.find("\"reason\":\"stall\""), std::string::npos);
+#else
+  // Macros compile to nothing; the recorder itself still works directly.
+  EXPECT_EQ(rec.event_count(), 0u);
+  EXPECT_EQ(rec.dumps(), 0u);
+#endif
+
+  EXPECT_EQ(obs::InstallGlobalTrace(nullptr), &rec);
+  std::remove(path.c_str());
+}
+
+TEST(TraceRingTest, PostmortemEscapesReasonAndCarriesRunContext) {
+  obs::TraceRecorder rec(Ring(16));
+  rec.Instant("execute", "test", {{"txn", 1}});
+  rec.SetRunContext("seed 7; links\tpart{1}");
+  ASSERT_TRUE(rec.DumpPostmortem("line1\nline2 \"quoted\"").ok());
+  const std::string json = rec.last_dump_json();
+  EXPECT_NE(json.find("line1\\nline2 \\\"quoted\\\""), std::string::npos);
+  // Parses (the parser rejects raw control characters) with the tab
+  // escaped in the top-level runContext key.
+  EXPECT_NE(ParseTrace(json).Get("runContext"), nullptr);
+  EXPECT_NE(json.find("\"runContext\":\"seed 7; links\\tpart{1}\""),
+            std::string::npos);
+  // A plain export carries neither the reason nor the run context.
+  EXPECT_EQ(rec.ToJson().find("runContext"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -364,7 +509,7 @@ Workload TraceMicro() {
 }
 
 std::string SimTraceJson() {
-  obs::TraceRecorder rec(obs::TraceRecorder::ClockDomain::kManual);
+  obs::TraceRecorder rec(Manual());
   obs::InstallGlobalTrace(&rec);
   const Workload w = TraceMicro();
   TPartSimOptions o;
@@ -427,7 +572,7 @@ TEST(TraceSimTest, SameSeedRunsProduceByteIdenticalMetricsStreams) {
 }
 
 TEST(TraceSimTest, RunWithoutRecorderLeavesTraceEmpty) {
-  obs::TraceRecorder rec(obs::TraceRecorder::ClockDomain::kManual);
+  obs::TraceRecorder rec(Manual());
   // Recorder exists but is not installed: the run must not touch it.
   const Workload w = TraceMicro();
   TPartSimOptions o;
