@@ -9,7 +9,7 @@
 //
 // 2. Offline replay: after a clean run, rebuild one machine's partition
 //    from its logs alone with all outbound communication suppressed
-//    (the original ReplayMachine path, now generalized by
+//    (ReplayMachine, which runs the same replay routine as
 //    Machine::Recover()).
 //
 //   ./build/examples/recovery_demo

@@ -119,8 +119,8 @@ struct RecoveryStats {
   /// Last sinking round the crashed machine fully executed before dying.
   SinkEpoch crash_epoch = 0;
   /// Crash-stop to watchdog declaring the machine failed (heartbeat
-  /// sequence stalled past the deadline, and — with the adaptive
-  /// detector — past the phi-accrual suspicion threshold too).
+  /// sequence stalled past the deadline floor and past the phi-accrual
+  /// suspicion threshold).
   std::uint64_t detection_latency_us = 0;
   /// Adaptive (phi-accrual) detector activity: deadline expiries the phi
   /// gate suppressed (gray failure / straggler, not a crash), and the

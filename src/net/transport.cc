@@ -191,8 +191,8 @@ void SerializedTransport::SendBatch(
 
 void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
   WireReader r(packet);
-  std::uint8_t kind;
-  std::uint64_t src64, seq;
+  std::uint8_t kind = 0;
+  std::uint64_t src64 = 0, seq = 0;
   TPART_CHECK(r.GetU8(&kind) && kind <= kMaxPacketKind &&
               r.GetVarint(&src64) && r.GetVarint(&seq) && src64 < n_)
       << "malformed packet envelope";
@@ -203,7 +203,8 @@ void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
     std::lock_guard<std::mutex> lock(mu_);
     Link& link = links_[dst * n_ + src];
     if (link.unacked.erase(seq) > 0) {
-      if (--unacked_total_ == 0) flush_cv_.notify_all();
+      --unacked_total_;
+      flush_cv_.notify_all();
     }
     return;
   }
@@ -299,8 +300,23 @@ void SerializedTransport::RetryLoop() {
 void SerializedTransport::Flush() {
   if (!started_) return;
   {
+    // Waits for the packets sent before this call only. Coordinator
+    // replicas heartbeat each other without pause, so under packet faults
+    // an instant with no packet unacked on any link may never come.
     std::unique_lock<std::mutex> lock(mu_);
-    flush_cv_.wait(lock, [&] { return unacked_total_ == 0; });
+    std::vector<std::uint64_t> horizon(links_.size());
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      horizon[i] = links_[i].next_seq;
+    }
+    flush_cv_.wait(lock, [&] {
+      for (std::size_t i = 0; i < links_.size(); ++i) {
+        const auto& unacked = links_[i].unacked;
+        if (!unacked.empty() && unacked.begin()->first < horizon[i]) {
+          return false;
+        }
+      }
+      return true;
+    });
   }
   network_->Drain();
 }

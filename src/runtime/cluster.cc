@@ -48,6 +48,12 @@ void NameTraceTracks(std::size_t num_machines) {
 LocalCluster::LocalCluster(const Workload* workload,
                            LocalClusterOptions options)
     : workload_(workload), options_(options) {
+  // Every executor wait and every credit window is bounded; there is no
+  // "wait forever" or "unbounded" setting.
+  TPART_CHECK(options_.stall_timeout_us > 0)
+      << "LocalClusterOptions::stall_timeout_us must be > 0";
+  TPART_CHECK(options_.pipeline.epoch_queue_capacity > 0)
+      << "PipelineOptions::epoch_queue_capacity must be > 0";
   Reset();
 }
 
@@ -110,13 +116,10 @@ void LocalCluster::Reset() {
         [this, m](MachineId to, Message msg) {
           transport_->Send(static_cast<MachineId>(m), to, std::move(msg));
         },
+        [this, m](std::vector<std::pair<MachineId, Message>>& msgs) {
+          transport_->SendBatch(static_cast<MachineId>(m), msgs);
+        },
         options_.sticky_ttl));
-    if (options_.transport.batch_fanout) {
-      machines_.back()->set_send_batch(
-          [this, m](std::vector<std::pair<MachineId, Message>>& msgs) {
-            transport_->SendBatch(static_cast<MachineId>(m), msgs);
-          });
-    }
     const DataPartitionMap* map = machine_map.get();
     machines_.back()->set_locator(
         [map](ObjectKey key) { return map->Locate(key); });
@@ -173,17 +176,7 @@ void LocalCluster::Reset() {
 }
 
 std::size_t LocalCluster::RestorePartition(MachineId m) {
-  KvStore& store = store_->store(m);
-  std::vector<ObjectKey> keys;
-  keys.reserve(store.size());
-  store.Scan(0, std::numeric_limits<ObjectKey>::max(),
-             [&](ObjectKey key, const Record&) { keys.push_back(key); });
-  for (const ObjectKey key : keys) {
-    // Cannot miss: every key came from the Scan() one loop up.
-    (void)store.Delete(key);
-  }
-  return checkpoints_.at(m)->records.Checkpoint(
-      [&](ObjectKey key, const Record& value) { store.Upsert(key, value); });
+  return checkpoints_.at(m)->ReloadPartition(store_->store(m));
 }
 
 void LocalCluster::StopAll() {
@@ -211,12 +204,6 @@ struct PlanEnvelope {
 }  // namespace
 
 ClusterRunOutcome LocalCluster::RunTPart() {
-  if (options_.resize.enabled()) {
-    TPART_CHECK(options_.pipeline.epoch_queue_capacity > 0)
-        << "elastic membership needs a bounded epoch queue: the migration "
-           "barrier quiesces the stream by waiting for every epoch credit "
-           "to free";
-  }
   if (used_) Reset();
   used_ = true;
   NameTraceTracks(machines_.size());
@@ -318,7 +305,7 @@ ClusterRunOutcome LocalCluster::RunTPart() {
   // the coordinator's election term across failovers (stays 1 without
   // replication — the fence is then uniform but inert).
   const PartitionSchedule& partition = options_.transport.faults.partition;
-  if (partition.Any() && options_.pipeline.epoch_queue_capacity > 0) {
+  if (partition.Any()) {
     TPART_CHECK(partition.MaxPartitionSpan() <=
                 options_.pipeline.epoch_queue_capacity)
         << "a partition window spans " << partition.MaxPartitionSpan()
@@ -370,11 +357,11 @@ ClusterRunOutcome LocalCluster::RunTPart() {
       // stall that long. Widen that machine's deadline additively rather
       // than declaring a false positive (the paper's failure detector
       // assumes bounded delay; the bound must include injected delay).
-      // With the adaptive detector this fixed deadline is demoted to a
-      // *floor*: expiry alone no longer declares a failure, it merely
-      // makes the machine eligible — the phi-accrual suspicion level
-      // (learned from observed inter-arrivals, so slow links and
-      // stragglers widen it organically) must corroborate.
+      // This fixed deadline is only a *floor*: expiry alone never
+      // declares a failure, it merely makes the machine eligible — the
+      // phi-accrual suspicion level (learned from observed
+      // inter-arrivals, so slow links and stragglers widen it
+      // organically) must corroborate.
       std::vector<std::chrono::microseconds> deadlines(
           machines_.size(),
           std::chrono::microseconds(options_.detector.deadline_us));
@@ -382,7 +369,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
         deadlines[options_.straggler.machine] +=
             std::chrono::microseconds(options_.straggler.delay_us);
       }
-      const bool adaptive = options_.detector.adaptive;
       PhiAccrualDetector::Options fd_opts;
       fd_opts.history = options_.detector.history;
       fd_opts.phi_threshold = options_.detector.phi_threshold;
@@ -449,31 +435,26 @@ ClusterRunOutcome LocalCluster::RunTPart() {
             continue;
           }
           if (now - last_alive[m] < deadlines[m]) continue;
-          double phi = 0.0;
-          if (adaptive) {
-            phi = detector.Phi(m, now_us);
-            if (!machines_[m]->crashed() &&
-                phi > recovery.peak_healthy_phi) {
-              recovery.peak_healthy_phi = phi;
-            }
-            if (phi < options_.detector.phi_threshold) {
-              // Deadline expired but the learned inter-arrival
-              // distribution says this silence is unexceptional (gray
-              // failure / straggler regime): suppress the declaration.
-              if (!suppressing[m]) {
-                suppressing[m] = true;
-                ++recovery.suspicions_suppressed;
-                TPART_TRACE(Instant(
-                    "suspicion_suppressed", "fault",
-                    {{"machine", m},
-                     {"phi_x100",
-                      static_cast<std::uint64_t>(phi * 100.0)}}));
-              }
-              continue;
-            }
+          const double phi = detector.Phi(m, now_us);
+          if (!machines_[m]->crashed() && phi > recovery.peak_healthy_phi) {
+            recovery.peak_healthy_phi = phi;
           }
-          // Heartbeat sequence stalled past the deadline floor (and, when
-          // adaptive, past the phi threshold): declare failed.
+          if (phi < options_.detector.phi_threshold) {
+            // Deadline expired but the learned inter-arrival distribution
+            // says this silence is unexceptional (gray failure /
+            // straggler regime): suppress the declaration.
+            if (!suppressing[m]) {
+              suppressing[m] = true;
+              ++recovery.suspicions_suppressed;
+              TPART_TRACE(Instant(
+                  "suspicion_suppressed", "fault",
+                  {{"machine", m},
+                   {"phi_x100", static_cast<std::uint64_t>(phi * 100.0)}}));
+            }
+            continue;
+          }
+          // Heartbeat sequence stalled past the deadline floor and past
+          // the phi threshold: declare failed.
           declared[m] = true;
           TPART_TRACE(Instant("failure_declared", "fault",
                               {{"machine", m}, {"last_seen", last_seen[m]}}));
@@ -483,9 +464,8 @@ ClusterRunOutcome LocalCluster::RunTPart() {
           if (!recoverable) {
             std::ostringstream out;
             out << "machine " << m << " failed: no heartbeat progress for "
-                << options_.detector.deadline_us << "us";
-            if (adaptive) out << " (phi=" << phi << ")";
-            out << "; " << diag;
+                << options_.detector.deadline_us << "us (phi=" << phi
+                << "); " << diag;
             declare_fault(out.str());
             std::lock_guard<std::mutex> lock(wd_mu);
             fatal_declared = true;
@@ -927,11 +907,9 @@ ClusterRunOutcome LocalCluster::RunTPart() {
         const std::uint64_t prev_fault_epoch =
             fault_epoch_live.load(std::memory_order_acquire);
         if (epoch > prev_fault_epoch &&
-            options_.pipeline.epoch_queue_capacity > 0 &&
             partition.OpensSeverWindowIn(prev_fault_epoch, epoch)) {
           for (auto& m : machines_) {
-            Status drained = m->WaitStreamDrained(
-                std::chrono::microseconds(options_.stall_timeout_us));
+            Status drained = m->WaitStreamDrained(stall_timeout);
             if (!drained.ok()) {
               std::ostringstream out;
               out << "quiesce before sever window at epoch " << epoch
@@ -1101,8 +1079,7 @@ ClusterRunOutcome LocalCluster::RunTPart() {
             std::chrono::steady_clock::now() + stall_timeout;
         for (std::size_t m = 0; m < machines_.size(); ++m) {
           while (machines_[m]->fence_term() < new_term) {
-            if (stall_timeout.count() > 0 &&
-                std::chrono::steady_clock::now() > fence_deadline) {
+            if (std::chrono::steady_clock::now() > fence_deadline) {
               std::ostringstream out;
               out << "machine " << m << " never witnessed term " << new_term
                   << " before the zombie revival (fence at "
@@ -1171,12 +1148,7 @@ ClusterRunOutcome LocalCluster::RunTPart() {
     // ensemble, rejoin the crashed replica as a standby, then probe every
     // machine's dissemination watermark so the next term re-ships exactly
     // the missing suffix of already-shipped rounds.
-    const std::chrono::microseconds failover_wait =
-        stall_timeout.count() > 0
-            ? stall_timeout
-            : std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::hours(24));
-    Result<std::size_t> elected = coordinator_->WaitElected(failover_wait);
+    Result<std::size_t> elected = coordinator_->WaitElected(stall_timeout);
     TPART_CHECK(elected.ok())
         << "no standby claimed leadership: " << elected.status().message();
     ++failover.elections_won;
@@ -1212,7 +1184,7 @@ ClusterRunOutcome LocalCluster::RunTPart() {
     coordinator_->SyncNewLeader();
     coordinator_->RestartReplica(crashed_leader);
     Result<std::vector<SinkEpoch>> wm =
-        coordinator_->ProbeWatermarks(failover_wait);
+        coordinator_->ProbeWatermarks(stall_timeout);
     TPART_CHECK(wm.ok()) << "watermark probe failed: "
                          << wm.status().message();
     watermarks = *wm;
@@ -1293,6 +1265,11 @@ ClusterRunOutcome LocalCluster::RunTPart() {
     m->set_commit_hook(nullptr);
     m->set_diagnostic_context(nullptr);
   }
+  // The replica ensemble's heartbeats and log traffic never pause on
+  // their own, so under packet faults a flush racing them may never see
+  // every link acked at the same instant. The stream has ended: stop
+  // the ensemble first (idempotent; StopAll repeats it).
+  if (coordinator_) coordinator_->Shutdown();
   transport_->Flush();
   if (sampler != nullptr) {
     // The source captures this frame's counters by reference: stop the
@@ -1412,8 +1389,7 @@ Status LocalCluster::RunMembershipStep(std::size_t step_idx,
       Status s = m->WaitStreamDrained(timeout);
       if (!s.ok()) return s;
       if (!m->crashed()) break;
-      if (timeout.count() > 0 &&
-          std::chrono::steady_clock::now() > quiesce_deadline) {
+      if (std::chrono::steady_clock::now() > quiesce_deadline) {
         std::ostringstream out;
         out << "membership step at epoch " << step.cut_epoch << ": machine "
             << m->id() << " is still down at the cut";
@@ -1472,7 +1448,7 @@ Status LocalCluster::RunMembershipStep(std::size_t step_idx,
         static_cast<std::uint64_t>(version), route.source, route.target);
     while (!machines_[route.source]->MigrationSourceDone(stream) ||
            !machines_[route.target]->MigrationInstalled(stream)) {
-      if (timeout.count() > 0 && std::chrono::steady_clock::now() > deadline) {
+      if (std::chrono::steady_clock::now() > deadline) {
         std::ostringstream out;
         out << "migration stream " << route.source << " -> " << route.target
             << " (" << route.keys.size() << " keys) timed out";

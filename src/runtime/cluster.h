@@ -37,7 +37,7 @@ struct PipelineOptions {
   std::size_t plan_queue_capacity = 4;
   /// Sinking rounds in flight per machine: disseminated but not fully
   /// executed. Dissemination blocks past this, which is how slow
-  /// executors throttle the scheduler. 0 = unbounded.
+  /// executors throttle the scheduler. Must be > 0.
   std::size_t epoch_queue_capacity = 4;
 };
 
@@ -176,18 +176,16 @@ struct LocalClusterOptions {
     /// Probe period; the watchdog stamps each kHeartbeat with a rising
     /// sequence number.
     std::uint64_t heartbeat_interval_us = 1000;
-    /// A machine whose recorded heartbeat sequence stalls longer than
-    /// this is declared failed. With `adaptive` on this is the floor, not
-    /// the verdict: the deadline must expire AND the phi-accrual
-    /// suspicion level must cross `phi_threshold`.
+    /// Deadline floor: a machine whose recorded heartbeat sequence stalls
+    /// longer than this becomes eligible for a failure declaration. It is
+    /// declared failed only when the phi-accrual suspicion level also
+    /// crosses `phi_threshold`.
     std::uint64_t deadline_us = 100000;
-    /// Phi-accrual adaptive gate (DESIGN §4j): suspicion is computed from
-    /// each machine's observed heartbeat inter-arrival history, so
-    /// stragglers and gray-failure slow links — slow but alive — never
-    /// trigger a false-positive recovery, while a true crash-stop's
-    /// unbounded silence still crosses any threshold. Off = the fixed
-    /// deadline alone decides (the pre-§4j behaviour).
-    bool adaptive = true;
+    /// Phi-accrual gate (DESIGN §4j): suspicion is computed from each
+    /// machine's observed heartbeat inter-arrival history, so stragglers
+    /// and gray-failure slow links — slow but alive — never trigger a
+    /// false-positive recovery, while a true crash-stop's unbounded
+    /// silence still crosses any threshold.
     double phi_threshold = 8.0;
     /// Inter-arrival samples kept per machine.
     std::size_t history = 64;
@@ -215,7 +213,7 @@ struct LocalClusterOptions {
   /// storage waits and the dissemination stage's queue receives. A wait
   /// that expires aborts the run with a stall diagnostic (executor
   /// paths) or surfaces as ClusterRunOutcome::fault (dissemination).
-  /// 0 = wait forever (the seed behaviour).
+  /// Must be > 0.
   std::uint64_t stall_timeout_us = 120'000'000;
 
   /// Live observability plane (DESIGN §4f). When `live_sampler` is set,

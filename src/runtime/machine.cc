@@ -17,12 +17,13 @@ namespace tpart {
 
 Machine::Machine(MachineId id, std::size_t num_machines, KvStore* store,
                  const ProcedureRegistry* registry, SendFn send,
-                 SinkEpoch sticky_ttl)
+                 SendBatchFn send_batch, SinkEpoch sticky_ttl)
     : id_(id),
       num_machines_(num_machines),
       store_(store),
       registry_(registry),
       send_(std::move(send)),
+      send_batch_(std::move(send_batch)),
       sticky_ttl_(sticky_ttl),
       storage_(store, sticky_ttl) {}
 
@@ -36,28 +37,11 @@ Machine::~Machine() {
 }
 
 void Machine::SendOut(MachineId to, Message msg) {
-  if (replay_) return;  // §5.4 replay is local
   send_(to, std::move(msg));
 }
 
 void Machine::SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs) {
-  if (replay_ || msgs.empty()) return;  // §5.4 replay is local
-  if (send_batch_) {
-    send_batch_(msgs);
-  } else {
-    for (auto& [to, msg] : msgs) send_(to, std::move(msg));
-  }
-}
-
-void Machine::EnqueueTPartEpoch(SinkEpoch epoch,
-                                std::vector<PlanItem> items) {
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    for (auto& item : items) {
-      tpart_work_.push_back(WorkUnit{epoch, std::move(item), false});
-    }
-  }
-  work_cv_.notify_all();
+  if (!msgs.empty()) send_batch_(msgs);
 }
 
 void Machine::EnqueueCalvinTxn(TxnSpec spec) {
@@ -204,12 +188,13 @@ void Machine::Dispatch(Message msg) {
   }
   // The §5.4 network log records every inbound value-bearing message the
   // machine actually processes, except re-deliveries of already-logged
-  // traffic (offline replay, and recovery's redelivery-marked
-  // re-injections). Genuinely new traffic arriving while kRecovering IS
-  // logged — a later crash must be able to replay it too.
-  const bool log = log_recording_ && !replay_ && !msg.redelivery &&
-                   run_state_.load(std::memory_order_relaxed) !=
-                       RunState::kDown;
+  // traffic (ReplayLogs' redelivery-marked re-injections). Genuinely new
+  // traffic arriving while kRecovering IS logged — a later crash must be
+  // able to replay it too. So is a message whose dispatch raced the
+  // crash-stop (ServiceLoop saw kLive, the executor then flipped to
+  // kDown): its effects are about to be wiped, and only the log can
+  // re-apply them.
+  const bool log = log_recording_ && !msg.redelivery;
   switch (msg.type) {
     case Message::Type::kShutdown:
       return;  // handled by ServiceLoop; unreachable here
@@ -505,14 +490,8 @@ bool Machine::MarkPlanItemDone(SinkEpoch epoch) {
   return false;
 }
 
-bool Machine::AcquireEpochCredit() {
-  return AcquireEpochCreditFor(std::chrono::microseconds{0}) ==
-         CreditGrant::kGrantedAfterWait;
-}
-
 Machine::CreditGrant Machine::AcquireEpochCreditFor(
     std::chrono::microseconds timeout) {
-  if (epoch_queue_capacity_ == 0) return CreditGrant::kGranted;  // unbounded
   std::unique_lock<std::mutex> lock(credit_mu_);
   bool waited = false;
   const auto open = [&] {
@@ -520,9 +499,7 @@ Machine::CreditGrant Machine::AcquireEpochCreditFor(
   };
   if (!open()) {
     waited = true;
-    if (timeout.count() <= 0) {
-      credit_cv_.wait(lock, open);
-    } else if (!credit_cv_.wait_for(lock, timeout, open)) {
+    if (!credit_cv_.wait_for(lock, timeout, open)) {
       return CreditGrant::kTimedOut;
     }
   }
@@ -534,7 +511,6 @@ Machine::CreditGrant Machine::AcquireEpochCreditFor(
 }
 
 void Machine::ReleaseEpochCredit() {
-  if (epoch_queue_capacity_ == 0) return;
   {
     std::lock_guard<std::mutex> lock(credit_mu_);
     if (epochs_in_flight_ > 0) --epochs_in_flight_;
@@ -618,7 +594,7 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   // partitioned, and each machine logs only those requests that are
   // assigned to itself" (§5.4). Replay re-sorts entries by txn id.
   // Replayed plans are already in the log.
-  if (log_recording_ && !replay_ && !is_replay) {
+  if (log_recording_ && !is_replay) {
     std::lock_guard<std::mutex> lock(log_mu_);
     request_log_.push_back(RequestLogEntry{epoch, item});
     request_log_bytes_ +=
@@ -629,11 +605,10 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
     }
   }
 
-  // In-run recovery re-executes logged plans with outbound traffic
-  // suppressed, exactly like offline replay (§5.4): peers already
-  // received these pushes/requests/write-backs before the crash, and
-  // version/epoch entries are consume-once, so re-sending would corrupt
-  // their refcounts.
+  // §5.4 replay re-executes logged plans with outbound traffic
+  // suppressed: peers already received these pushes/requests/write-backs
+  // before the crash, and version/epoch entries are consume-once, so
+  // re-sending would corrupt their refcounts.
   const auto send_out = [&](MachineId to, Message m) {
     if (!is_replay) SendOut(to, std::move(m));
   };
@@ -709,16 +684,12 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
       }
       case ReadSourceKind::kStorage: {
         if (r.src_machine == id_) {
-          if (stall_timeout_.count() > 0) {
-            Result<Record> v =
-                storage_.BlockingReadFor(r.key, r.src_txn, stall_timeout_);
-            TPART_CHECK(v.ok())
-                << "T" << p.txn << " stalled on local storage read of key "
-                << r.key << " v" << r.src_txn << ": " << StallDiagnostic();
-            values[r.key] = std::move(*v);
-          } else {
-            values[r.key] = storage_.BlockingRead(r.key, r.src_txn);
-          }
+          Result<Record> v =
+              storage_.BlockingReadFor(r.key, r.src_txn, stall_timeout_);
+          TPART_CHECK(v.ok())
+              << "T" << p.txn << " stalled on local storage read of key "
+              << r.key << " v" << r.src_txn << ": " << StallDiagnostic();
+          values[r.key] = std::move(*v);
         } else {
           Message req;
           req.type = Message::Type::kStorageReadReq;
@@ -896,15 +867,10 @@ Record Machine::AwaitResponse(std::uint64_t req_id) {
   const auto ready = [&] {
     return resp_shutdown_ || responses_.count(req_id) > 0;
   };
-  if (stall_timeout_.count() > 0) {
-    // StallDiagnostic never touches resp_mu_, so reporting under the
-    // lock is safe.
-    TPART_CHECK(resp_cv_.wait_for(lock, stall_timeout_, ready))
-        << "stalled awaiting response " << req_id << ": "
-        << StallDiagnostic();
-  } else {
-    resp_cv_.wait(lock, ready);
-  }
+  // StallDiagnostic never touches resp_mu_, so reporting under the lock
+  // is safe.
+  TPART_CHECK(resp_cv_.wait_for(lock, stall_timeout_, ready))
+      << "stalled awaiting response " << req_id << ": " << StallDiagnostic();
   auto it = responses_.find(req_id);
   if (it == responses_.end()) return Record::Absent();
   Record v = std::move(it->second);
@@ -1007,109 +973,58 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
   storage_.Reset();
 
   // 2. Restore the partition from its checkpoint (cost proportional to
-  //    this partition only), then — when a periodic capture has run —
-  //    the volatile images it saved: the truncated request log is only
-  //    replayable on top of the cache entries and storage version gates
-  //    that existed at the capture boundary.
+  //    this partition only). A capture happens at a drained boundary E,
+  //    so any later crash resumes strictly past it; an inverted pair
+  //    would mean the resend window was pruned past rounds we still need.
   restore_partition();
-  SinkEpoch cp_epoch = 0;
-  if (checkpoint_ != nullptr) {
-    cp_epoch = checkpoint_->epoch();
-    if (cp_epoch > 0) {
-      // A capture happens at a drained boundary E, so any later crash
-      // resumes strictly past it; an inverted pair would mean the resend
-      // window was pruned past rounds we still need.
-      TPART_CHECK(cp_epoch < resume)
-          << "machine " << id_ << " checkpoint at epoch " << cp_epoch
-          << " does not precede resume epoch " << resume;
-      {
-        // The truncated prefix's results only exist in the capture.
-        std::lock_guard<std::mutex> results_lock(results_mu_);
-        results_ = checkpoint_->results;
-      }
-      cache_.Restore(checkpoint_->cache);
-      storage_.Restore(
-          checkpoint_->storage,
-          [this](const StorageService::RemoteReadTag& tag) {
-            return [this, tag](Record value) {
-              Message resp;
-              resp.type = Message::Type::kStorageReadResp;
-              resp.req_id = tag.req_id;
-              resp.value = std::move(value);
-              SendOut(tag.reply_to, std::move(resp));
-            };
-          });
-    }
+  if (checkpoint_ != nullptr && checkpoint_->epoch() > 0) {
+    TPART_CHECK(checkpoint_->epoch() < resume)
+        << "machine " << id_ << " checkpoint at epoch "
+        << checkpoint_->epoch() << " does not precede resume epoch "
+        << resume;
   }
 
-  // 3. §5.4 local replay: re-enqueue the request log grouped by sinking
-  //    round in txn order, tagged as replay (outbound suppressed, not
-  //    re-logged). Plans logged for the resume round itself are the
+  // 3. Snapshot both §5.4 logs while still down: nothing appends to them
+  //    now (the executor has exited, the service thread stashes), and
+  //    traffic processed after the reopen below is logged as new, never
+  //    re-injected. Plans logged for the resume round itself are the
   //    partially-executed prefix of a mid-round crash; the re-shipped
   //    round skips them (recovered_partial_txns_).
-  std::map<SinkEpoch, std::vector<PlanItem>> rounds;
-  std::size_t replayed = 0;
+  std::vector<RequestLogEntry> request_log;
+  std::vector<Message> network_log;
   {
     std::lock_guard<std::mutex> lock(log_mu_);
-    replayed = request_log_.size();
-    for (const auto& entry : request_log_) {
-      rounds[entry.epoch].push_back(entry.item);
-    }
+    request_log = request_log_;
+    network_log = network_log_;
   }
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
-    auto it = rounds.find(resume);
-    if (it != rounds.end()) {
-      for (const auto& item : it->second) {
-        recovered_partial_txns_.insert(item.plan.txn);
+    for (const RequestLogEntry& entry : request_log) {
+      if (entry.epoch == resume) {
+        recovered_partial_txns_.insert(entry.item.plan.txn);
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    for (auto& [epoch, items] : rounds) {
-      std::sort(items.begin(), items.end(),
-                [](const PlanItem& a, const PlanItem& b) {
-                  return a.plan.txn < b.plan.txn;
-                });
-      for (auto& item : items) {
-        tpart_work_.push_back(WorkUnit{epoch, std::move(item), true});
-      }
-    }
-  }
-  replay_remaining_.store(replayed, std::memory_order_release);
 
-  // 4. Reopen the service and re-deliver the inbound past: the parked
-  //    remote pulls the checkpoint saved, then the network log (the §5.4
-  //    PUSH-log generalised, now just the post-checkpoint suffix), then
-  //    the traffic that arrived while down. Parking in the cache and the
-  //    storage service makes processing order irrelevant. The state flip
-  //    happens under crash_mu_, so no concurrent message can be stranded
-  //    in the stash afterwards. Log/checkpoint re-injections carry the
-  //    redelivery mark (already logged once); the stash does not — those
-  //    messages were never processed, and a second crash must be able to
-  //    replay them.
+  // 4. §5.4 local replay: restore the checkpoint's volatile images and
+  //    queue the replay while still kDown, reopen the service, then
+  //    re-deliver the inbound past — the checkpoint's parked pulls and
+  //    the network log, then the traffic that arrived while down. The
+  //    state flip happens under crash_mu_, so no concurrent message can
+  //    be stranded in the stash afterwards. The stash is not marked
+  //    redelivery: those messages were never processed, and a second
+  //    crash must be able to replay them.
+  const bool any_replay = !request_log.empty();
   std::vector<Message> stash;
-  {
-    std::lock_guard<std::mutex> lock(crash_mu_);
-    run_state_.store(replayed == 0 ? RunState::kLive : RunState::kRecovering,
-                     std::memory_order_release);
-    stash.swap(down_stash_);
-  }
-  if (cp_epoch > 0) {
-    for (Message m : checkpoint_->parked_pulls) {
-      m.redelivery = true;
-      inbound_.Send(std::move(m));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    for (const Message& m : network_log_) {
-      Message copy = m;
-      copy.redelivery = true;
-      inbound_.Send(std::move(copy));
-    }
-  }
+  const std::size_t replayed =
+      ReplayLogs(checkpoint_, std::move(request_log), std::move(network_log),
+                 [&] {
+                   std::lock_guard<std::mutex> lock(crash_mu_);
+                   run_state_.store(any_replay ? RunState::kRecovering
+                                               : RunState::kLive,
+                                    std::memory_order_release);
+                   stash.swap(down_stash_);
+                 });
   for (Message& m : stash) inbound_.Send(std::move(m));
 
   // 5. A fresh executor re-runs the replay, then keeps serving live
@@ -1129,6 +1044,71 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
   }
   TPART_TRACE(Instant("replay_done", "fault",
                       {{"machine", id_}, {"replayed", replayed}}));
+  return replayed;
+}
+
+std::size_t Machine::ReplayLogs(const MachineCheckpoint* checkpoint,
+                                std::vector<RequestLogEntry> request_log,
+                                std::vector<Message> network_log,
+                                const std::function<void()>& reopen) {
+  // 1. Volatile state as of the capture: the suffix of the request log
+  //    is only replayable on top of the cache entries and storage
+  //    version gates that existed at the capture boundary, and the
+  //    truncated prefix's results only exist in the capture.
+  const bool captured = checkpoint != nullptr && checkpoint->epoch() > 0;
+  if (captured) {
+    {
+      std::lock_guard<std::mutex> lock(results_mu_);
+      results_ = checkpoint->results;
+    }
+    cache_.Restore(checkpoint->cache);
+    storage_.Restore(checkpoint->storage,
+                     [this](const StorageService::RemoteReadTag& tag) {
+                       return [this, tag](Record value) {
+                         Message resp;
+                         resp.type = Message::Type::kStorageReadResp;
+                         resp.req_id = tag.req_id;
+                         resp.value = std::move(value);
+                         SendOut(tag.reply_to, std::move(resp));
+                       };
+                     });
+  }
+
+  // 2. Re-enqueue the logged plans grouped by sinking round in txn
+  //    order, tagged as replay.
+  const std::size_t replayed = request_log.size();
+  std::map<SinkEpoch, std::vector<PlanItem>> rounds;
+  for (RequestLogEntry& entry : request_log) {
+    rounds[entry.epoch].push_back(std::move(entry.item));
+  }
+  {
+    std::lock_guard<std::mutex> lock(work_mu_);
+    for (auto& [epoch, items] : rounds) {
+      std::sort(items.begin(), items.end(),
+                [](const PlanItem& a, const PlanItem& b) {
+                  return a.plan.txn < b.plan.txn;
+                });
+      for (PlanItem& item : items) {
+        tpart_work_.push_back(WorkUnit{epoch, std::move(item), true});
+      }
+    }
+  }
+  replay_remaining_.store(replayed, std::memory_order_release);
+
+  // 3 + 4. Reopen, then re-deliver the logged inbound traffic. Parking in
+  //    the cache and the storage service makes processing order
+  //    irrelevant.
+  if (reopen) reopen();
+  if (captured) {
+    for (Message m : checkpoint->parked_pulls) {
+      m.redelivery = true;
+      inbound_.Send(std::move(m));
+    }
+  }
+  for (Message& m : network_log) {
+    m.redelivery = true;
+    inbound_.Send(std::move(m));
+  }
   return replayed;
 }
 
@@ -1226,29 +1206,6 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
   ckpt_cv_.notify_all();
 }
 
-void Machine::InstallCheckpoint(MachineCheckpoint& cp) {
-  if (cp.epoch() == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    results_ = cp.results;
-  }
-  cache_.Restore(cp.cache);
-  storage_.Restore(cp.storage,
-                   [this](const StorageService::RemoteReadTag& tag) {
-                     return [this, tag](Record value) {
-                       Message resp;
-                       resp.type = Message::Type::kStorageReadResp;
-                       resp.req_id = tag.req_id;
-                       resp.value = std::move(value);
-                       SendOut(tag.reply_to, std::move(resp));
-                     };
-                   });
-  for (Message m : cp.parked_pulls) {
-    m.redelivery = true;
-    inbound_.Send(std::move(m));
-  }
-}
-
 void Machine::LogNetworkMessage(const Message& msg) {
   std::lock_guard<std::mutex> lock(log_mu_);
   network_log_.push_back(msg);
@@ -1283,17 +1240,10 @@ std::size_t Machine::network_log_bytes_peak() const {
 // ---------------------------------------------------------------------
 
 Status Machine::WaitStreamDrained(std::chrono::microseconds timeout) {
-  TPART_CHECK(epoch_queue_capacity_ > 0)
-      << "stream drain barrier needs a bounded epoch queue: at capacity 0 "
-         "credits are not tracked";
   std::unique_lock<std::mutex> lock(credit_mu_);
   const auto drained = [&] {
     return epochs_in_flight_ == 0 || credit_shutdown_;
   };
-  if (timeout.count() <= 0) {
-    credit_cv_.wait(lock, drained);
-    return Status::Ok();
-  }
   if (!credit_cv_.wait_for(lock, timeout, drained)) {
     lock.unlock();  // StallDiagnostic takes credit_mu_
     return Status::Unavailable("stream drain timed out: " +
@@ -1316,10 +1266,6 @@ Status Machine::FenceService(std::chrono::microseconds timeout) {
   inbound_.Send(std::move(fence));
   std::unique_lock<std::mutex> lock(fence_mu_);
   const auto done = [&] { return fence_seen_ >= seq; };
-  if (timeout.count() <= 0) {
-    fence_cv_.wait(lock, done);
-    return Status::Ok();
-  }
   if (!fence_cv_.wait_for(lock, timeout, done)) {
     lock.unlock();
     return Status::Unavailable("service fence timed out: " +
@@ -1685,14 +1631,10 @@ void Machine::ExecuteCalvin(const TxnSpec& spec) {
       }
       return true;
     };
-    if (stall_timeout_.count() > 0) {
-      // StallDiagnostic never touches peer_mu_.
-      TPART_CHECK(peer_cv_.wait_for(lock, stall_timeout_, ready))
-          << "stalled awaiting peer reads for T" << spec.id << ": "
-          << StallDiagnostic();
-    } else {
-      peer_cv_.wait(lock, ready);
-    }
+    // StallDiagnostic never touches peer_mu_.
+    TPART_CHECK(peer_cv_.wait_for(lock, stall_timeout_, ready))
+        << "stalled awaiting peer reads for T" << spec.id << ": "
+        << StallDiagnostic();
     auto it = peer_reads_.find(spec.id);
     if (it != peer_reads_.end()) {
       for (auto& [key, value] : it->second) {

@@ -36,7 +36,8 @@ namespace tpart {
 ///
 /// Recovery support (§5.4): the machine logs the requests assigned to it
 /// (after partitioning) and every inbound value-bearing message
-/// (generalising the PUSH-log); see Replay in runtime/recovery.h.
+/// (generalising the PUSH-log); ReplayLogs() replays them, in-run
+/// (Recover) and offline (ReplayMachine in runtime/recovery.h).
 class Machine {
  public:
   using SendFn = std::function<void(MachineId, Message)>;
@@ -54,9 +55,13 @@ class Machine {
   /// (reads wait for exact versions) already makes T-Part results
   /// independent of execution interleaving; FIFO order is what makes
   /// crash points and checkpoint barriers deterministic.
+  /// `send` carries single messages (read requests, responses, control
+  /// replies); `send_batch` carries each executed plan's publish phase
+  /// (pushes and remote write-backs) in one call. Read requests never
+  /// ride a batch — the executor blocks on their responses.
   Machine(MachineId id, std::size_t num_machines, KvStore* store,
           const ProcedureRegistry* registry, SendFn send,
-          SinkEpoch sticky_ttl = 2);
+          SendBatchFn send_batch, SinkEpoch sticky_ttl = 2);
   ~Machine();
 
   Machine(const Machine&) = delete;
@@ -67,27 +72,24 @@ class Machine {
     TxnPlan plan;
     TxnSpec spec;
   };
-  /// T-Part mode: the machine's slice of sinking round `epoch`.
-  void EnqueueTPartEpoch(SinkEpoch epoch, std::vector<PlanItem> items);
-  /// Calvin mode: next relevant transaction in total order.
+  /// Calvin mode: next relevant transaction in total order. (T-Part work
+  /// arrives as kSinkPlan/kPlanStreamEnd messages through Deliver.)
   void EnqueueCalvinTxn(TxnSpec spec);
   /// No more work will arrive; the executor drains and exits.
   void FinishEnqueue();
 
   // ---- Streaming intake (kSinkPlan/kPlanStreamEnd over the transport) --
   /// Bounds the number of sinking rounds in flight at this machine
-  /// (disseminated but not fully executed). 0 = unbounded. Must be set
+  /// (disseminated but not fully executed); must be > 0. Must be set
   /// before StartTPart().
   void set_epoch_queue_capacity(std::size_t capacity) {
     epoch_queue_capacity_ = capacity;
   }
   /// Called by the dissemination stage before shipping a round here;
   /// blocks while `capacity` rounds are in flight — this is how execution
-  /// backpressures the scheduler. Returns true when the call had to wait.
-  bool AcquireEpochCredit();
-  /// Deadline-aware variant: a credit that never frees (the machine died
-  /// and nobody recovers it) surfaces as kTimedOut instead of hanging
-  /// dissemination forever. Zero timeout waits forever.
+  /// backpressures the scheduler. A credit that never frees (the machine
+  /// died and nobody recovers it) surfaces as kTimedOut after `timeout`
+  /// instead of hanging dissemination forever.
   enum class CreditGrant { kGranted, kGrantedAfterWait, kTimedOut };
   CreditGrant AcquireEpochCreditFor(std::chrono::microseconds timeout);
   /// Deepest the in-flight-round window ever got.
@@ -125,18 +127,13 @@ class Machine {
   /// Network intake (called by the cluster router).
   void Deliver(Message msg) { inbound_.Send(std::move(msg)); }
 
-  /// Replay mode (§5.4): outbound messages are suppressed and the logged
-  /// inbound messages must be re-Delivered by the caller.
-  void set_replay(bool replay) { replay_ = replay; }
-
   /// Disables the §5.4 request/network logs (recovery becomes impossible
   /// but long streaming runs keep memory bounded). Default on.
   void set_log_recording(bool on) { log_recording_ = on; }
 
   /// Bounds every executor-side wait (response, credit, peer reads,
-  /// local storage read). On expiry the machine aborts with a stall
-  /// diagnostic instead of hanging. Zero waits forever. Must be set
-  /// before Start*().
+  /// local storage read); must be > 0. On expiry the machine aborts with
+  /// a stall diagnostic instead of hanging. Must be set before Start*().
   void set_stall_timeout(std::chrono::microseconds timeout) {
     stall_timeout_ = timeout;
   }
@@ -178,7 +175,7 @@ class Machine {
 
   /// Rebuilds this machine in-run after a crash-stop: wipes all volatile
   /// state, restores the partition via `restore_partition` (checkpoint),
-  /// re-enqueues the request log, re-delivers the network log plus any
+  /// runs ReplayLogs() on its own checkpoint and logs, re-delivers any
   /// traffic that arrived while down, and re-executes on a fresh executor
   /// thread with outbound traffic suppressed for replayed plans. Blocks
   /// until the replayed suffix has re-executed (the caller then re-ships
@@ -235,16 +232,6 @@ class Machine {
     locate_ = std::move(locate);
   }
 
-  /// Arms batched publish-phase fan-out: each executed plan's outbound
-  /// pushes and remote write-backs are handed over in ONE call instead of
-  /// per-message sends. Unset = per-message (the pre-batching wire
-  /// traffic). Read requests always flush immediately — the executor
-  /// blocks on their responses, so holding them in a batch would
-  /// deadlock. Set before Start*().
-  void set_send_batch(SendBatchFn send_batch) {
-    send_batch_ = std::move(send_batch);
-  }
-
   // ---- Results & state ------------------------------------------------
   MachineId id() const { return id_; }
   std::vector<TxnResult> TakeResults();
@@ -262,6 +249,26 @@ class Machine {
   }
   const std::vector<Message>& network_log() const { return network_log_; }
 
+  /// §5.4 local replay — the one routine behind both in-run Recover() and
+  /// offline ReplayMachine(). In order:
+  ///  1. when `checkpoint` has been captured (non-null, epoch() > 0),
+  ///     restores its volatile images: results, cache area, and storage
+  ///     version discipline (parked remote reads answer through SendOut);
+  ///  2. queues `request_log` as replay work units, grouped by sinking
+  ///     round in txn order. Replay units suppress outbound traffic,
+  ///     re-logging and the commit hook;
+  ///  3. calls `reopen` (when set) — Recover() flips the machine out of
+  ///     kDown here, after the work is queued and before traffic flows;
+  ///  4. re-injects the checkpoint's parked pulls, then `network_log`,
+  ///     marked `redelivery` so they are not logged twice.
+  /// The partition data is the caller's job
+  /// (MachineCheckpoint::ReloadPartition); the executor must not be
+  /// running. Returns the number of queued replay plans.
+  std::size_t ReplayLogs(const MachineCheckpoint* checkpoint,
+                         std::vector<RequestLogEntry> request_log,
+                         std::vector<Message> network_log,
+                         const std::function<void()>& reopen = nullptr);
+
   // ---- Periodic checkpointing & log truncation ------------------------
   /// Attaches the machine's durable checkpoint image and the capture
   /// cadence: every `every` sink epochs the executor pauses at a drained
@@ -273,12 +280,6 @@ class Machine {
   /// (the image still serves as the load-time checkpoint). T-Part only.
   /// Call before StartTPart().
   void ConfigureCheckpoint(MachineCheckpoint* image, SinkEpoch every);
-
-  /// Restores the volatile images (cache area, storage version
-  /// discipline, parked pulls) from `cp` into a fresh machine — the
-  /// offline ReplayMachine() counterpart of the in-run restore inside
-  /// Recover(). The partition data (cp.records) is the caller's job.
-  void InstallCheckpoint(MachineCheckpoint& cp);
 
   /// Byte sizes of the §5.4 logs (current and high-water) — the
   /// log-growth signal checkpoint truncation exists to bound.
@@ -304,16 +305,13 @@ class Machine {
   /// Migration-barrier quiesce: blocks until every disseminated round has
   /// fully executed here (all epoch credits released — this also rides
   /// out a crash + recovery + re-ship cycle, whose re-executed rounds
-  /// release the stuck credits). Requires a bounded epoch queue
-  /// (set_epoch_queue_capacity > 0): at capacity 0 credits are not
-  /// tracked and a drain barrier is meaningless. kUnavailable on timeout
-  /// (0 = wait forever).
+  /// release the stuck credits). kUnavailable on timeout.
   [[nodiscard]] Status WaitStreamDrained(std::chrono::microseconds timeout);
 
   /// Posts a local kServiceFence through the inbound queue (never via the
   /// transport — it is not a wire message) and blocks until the service
   /// thread dispatches it; every message delivered before the call has
-  /// then been fully applied. kUnavailable on timeout (0 = forever).
+  /// then been fully applied. kUnavailable on timeout.
   [[nodiscard]] Status FenceService(std::chrono::microseconds timeout);
 
   /// Control-plane checkpoint at the migration cut: captures the attached
@@ -355,8 +353,7 @@ class Machine {
   void ExecutePlan(SinkEpoch epoch, const PlanItem& item, bool is_replay);
   void ExecuteCalvin(const TxnSpec& spec);
   void SendOut(MachineId to, Message msg);
-  /// Flushes one publish phase's staged messages: through send_batch_
-  /// when armed (batched wire framing), else message-by-message.
+  /// Flushes one publish phase's staged messages through send_batch_.
   void SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs);
   void CrashStop(SinkEpoch resume);
 
@@ -402,7 +399,6 @@ class Machine {
   SendFn send_;
   SendBatchFn send_batch_;
   SinkEpoch sticky_ttl_;
-  bool replay_ = false;
   std::function<MachineId(ObjectKey)> locate_;
 
   CacheArea cache_;
@@ -453,7 +449,7 @@ class Machine {
   // in-flight round's unfinished plans; the credit window is its own
   // lock so executors releasing never contend with intake.
   std::unordered_map<SinkEpoch, std::size_t> epoch_outstanding_;
-  std::size_t epoch_queue_capacity_ = 0;
+  std::size_t epoch_queue_capacity_ = 4;
   mutable std::mutex credit_mu_;
   std::condition_variable credit_cv_;
   std::size_t epochs_in_flight_ = 0;
@@ -572,7 +568,7 @@ class Machine {
   std::function<std::string()> diagnostic_context_;
   /// Timeline sampling stride (set_txn_sample); read on the execute path.
   std::uint64_t txn_sample_ = 0;
-  std::chrono::microseconds stall_timeout_{0};
+  std::chrono::microseconds stall_timeout_{120'000'000};
   /// Set by AbortPendingWaits(): the run was declared failed. Executors
   /// drain their queues without running procedures (gathered values are
   /// shutdown placeholders, not real records).

@@ -3,19 +3,22 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cache/cache_area.h"
 #include "common/types.h"
 #include "runtime/channel.h"
 #include "runtime/storage_service.h"
+#include "storage/kv_store.h"
 #include "storage/zigzag_checkpoint.h"
 
 namespace tpart {
 
-/// One machine's durable checkpoint: everything Machine::Recover() (or
-/// offline ReplayMachine()) needs to resume from epoch E instead of from
-/// the initial load.
+/// One machine's durable checkpoint: everything the §5.4 replay
+/// (Machine::ReplayLogs, behind both Machine::Recover() and offline
+/// ReplayMachine()) needs to resume from epoch E instead of from the
+/// initial load.
 ///
 ///  * `records` — the partition's data, maintained incrementally: each
 ///    capture folds only the keys written back since the previous capture
@@ -48,6 +51,22 @@ struct MachineCheckpoint {
   std::uint64_t capture_us = 0;
   std::uint64_t truncated_request_entries = 0;
   std::uint64_t truncated_network_messages = 0;
+
+  /// Wipes `store` and reloads it from `records` — the partition half of
+  /// every restore (LocalCluster::RestorePartition, offline
+  /// ReplayMachine). Returns the number of records restored.
+  std::size_t ReloadPartition(KvStore& store) {
+    std::vector<ObjectKey> keys;
+    keys.reserve(store.size());
+    store.Scan(0, std::numeric_limits<ObjectKey>::max(),
+               [&](ObjectKey key, const Record&) { keys.push_back(key); });
+    for (const ObjectKey key : keys) {
+      // Cannot miss: every key came from the Scan() one loop up.
+      (void)store.Delete(key);
+    }
+    return records.Checkpoint(
+        [&](ObjectKey key, const Record& value) { store.Upsert(key, value); });
+  }
 
   /// Epoch this checkpoint covers: every effect of sink rounds <= epoch()
   /// is inside the images; replay needs only the log suffix past it.

@@ -1,36 +1,37 @@
 #include "runtime/recovery.h"
 
-#include <algorithm>
-#include <limits>
-#include <map>
-
 namespace tpart {
 
 namespace {
 
-/// Shared tail of both replay formulations: re-enqueue the logged plans
-/// grouped by sinking round in total order (a multi-worker live run may
-/// have logged them interleaved), run the executor to completion, and
-/// collect results.
-void RunReplay(Machine& machine,
-               const std::vector<Machine::RequestLogEntry>& request_log,
-               ReplayResult& out) {
-  std::map<SinkEpoch, std::vector<Machine::PlanItem>> rounds;
-  for (const auto& entry : request_log) {
-    rounds[entry.epoch].push_back(entry.item);
-  }
+/// The one body behind both overloads: a fresh store with the loaded
+/// database, partition `id` reloaded from `checkpoint` when there is one,
+/// and a machine whose sends go nowhere running Machine::ReplayLogs — the
+/// same routine Machine::Recover() runs in-run.
+ReplayResult Replay(const Workload& workload, MachineId id,
+                    MachineCheckpoint* checkpoint,
+                    const std::vector<Machine::RequestLogEntry>& request_log,
+                    const std::vector<Message>& network_log,
+                    SinkEpoch sticky_ttl) {
+  ReplayResult out;
+  out.store = std::make_unique<PartitionedStore>(
+      workload.num_machines, workload.partition_map,
+      /*maintain_ordered_index=*/true);
+  workload.loader(*out.store);
+  KvStore& store = out.store->store(id);
+  if (checkpoint != nullptr) checkpoint->ReloadPartition(store);
+
+  Machine machine(
+      id, workload.num_machines, &store, workload.procedures.get(),
+      [](MachineId, Message) { /* §5.4 replay is local */ },
+      [](std::vector<std::pair<MachineId, Message>>&) {}, sticky_ttl);
+  (void)machine.ReplayLogs(checkpoint, request_log, network_log);
   machine.StartTPart();
-  for (auto& [epoch, items] : rounds) {
-    std::sort(items.begin(), items.end(),
-              [](const Machine::PlanItem& a, const Machine::PlanItem& b) {
-                return a.plan.txn < b.plan.txn;
-              });
-    machine.EnqueueTPartEpoch(epoch, std::move(items));
-  }
   machine.FinishEnqueue();
   machine.JoinExecutor();
   out.results = machine.TakeResults();
   machine.Stop();
+  return out;
 }
 
 }  // namespace
@@ -39,68 +40,16 @@ ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
     const std::vector<Machine::RequestLogEntry>& request_log,
     const std::vector<Message>& network_log, SinkEpoch sticky_ttl) {
-  ReplayResult out;
-  // Checkpoint: reload the initial database (a real deployment would read
-  // the latest checkpoint / fetch a replica snapshot; the log replay on
-  // top is identical).
-  out.store = std::make_unique<PartitionedStore>(
-      workload.num_machines, workload.partition_map,
-      /*maintain_ordered_index=*/true);
-  workload.loader(*out.store);
-
-  Machine machine(id, workload.num_machines, &out.store->store(id),
-                  workload.procedures.get(),
-                  [](MachineId, Message) { /* outbound suppressed */ },
-                  sticky_ttl);
-  machine.set_replay(true);
-
-  // Pre-deliver the logged inbound traffic; parking in the cache and the
-  // storage service makes delivery order irrelevant.
-  for (const Message& msg : network_log) {
-    machine.Deliver(msg);
-  }
-  RunReplay(machine, request_log, out);
-  return out;
+  return Replay(workload, id, /*checkpoint=*/nullptr, request_log,
+                network_log, sticky_ttl);
 }
 
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id, MachineCheckpoint& checkpoint,
     const std::vector<Machine::RequestLogEntry>& request_log_suffix,
     const std::vector<Message>& network_log_suffix, SinkEpoch sticky_ttl) {
-  ReplayResult out;
-  out.store = std::make_unique<PartitionedStore>(
-      workload.num_machines, workload.partition_map,
-      /*maintain_ordered_index=*/true);
-  workload.loader(*out.store);
-
-  // Replace the loaded partition with the checkpointed records: every
-  // write-back up to the capture epoch is already folded in, so the log
-  // suffix is all that remains to replay.
-  KvStore& store = out.store->store(id);
-  std::vector<ObjectKey> keys;
-  keys.reserve(store.size());
-  store.Scan(0, std::numeric_limits<ObjectKey>::max(),
-             [&](ObjectKey key, const Record&) { keys.push_back(key); });
-  for (const ObjectKey key : keys) {
-    (void)store.Delete(key);
-  }
-  checkpoint.records.Checkpoint(
-      [&](ObjectKey key, const Record& value) { store.Upsert(key, value); });
-
-  Machine machine(id, workload.num_machines, &store,
-                  workload.procedures.get(),
-                  [](MachineId, Message) { /* outbound suppressed */ },
-                  sticky_ttl);
-  machine.set_replay(true);
-  // Volatile state as of the capture: cache entries, storage-service
-  // parking, and in-flight pulls re-enter through the normal paths.
-  machine.InstallCheckpoint(checkpoint);
-
-  for (const Message& msg : network_log_suffix) {
-    machine.Deliver(msg);
-  }
-  RunReplay(machine, request_log_suffix, out);
-  return out;
+  return Replay(workload, id, &checkpoint, request_log_suffix,
+                network_log_suffix, sticky_ttl);
 }
 
 }  // namespace tpart

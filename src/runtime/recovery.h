@@ -23,19 +23,19 @@ struct ReplayResult {
 /// create a PUSH-log upon receiving a push ... Therefore, each machine in
 /// T-Part can replay its transactions locally during the recovery."
 ///
-/// Reconstructs machine `id` from a checkpoint (the initial load) plus
-/// its request log and network log (the PUSH-log generalised to every
-/// inbound message, so storage-read/cache-pull refcounts line up), with
-/// all outbound traffic suppressed. The caller compares the rebuilt
-/// partition against the pre-crash store.
+/// Reconstructs machine `id` from the initial load plus its request log
+/// and network log (the PUSH-log generalised to every inbound message, so
+/// storage-read/cache-pull refcounts line up), with all outbound traffic
+/// suppressed. The caller compares the rebuilt partition against the
+/// pre-crash store.
 ///
 /// This is the *offline* formulation: a fresh store, no peers, no
-/// cluster. The in-run path — crash-stop a live machine mid-stream,
-/// detect it via heartbeats, rebuild it in place and let the run
-/// complete — is Machine::Recover() driven by LocalCluster's watchdog
-/// (LocalClusterOptions::crash / ::detector). Both replay the same two
-/// logs; Recover() additionally restores the partition from the
-/// load-time zig-zag checkpoint and rejoins the live epoch stream.
+/// cluster. It runs the same replay routine as the in-run path —
+/// Machine::ReplayLogs, which Machine::Recover() calls after a live
+/// crash-stop detected by LocalCluster's watchdog — so these replays
+/// exercise the code that rebuilds crashed machines. Recover()
+/// additionally wipes the machine in place, re-delivers traffic that
+/// arrived while it was down, and rejoins the live epoch stream.
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
     const std::vector<Machine::RequestLogEntry>& request_log,

@@ -52,14 +52,10 @@ class StorageService {
   void AsyncRead(ObjectKey key, TxnId expected_version, ReadDone done,
                  std::optional<RemoteReadTag> remote = std::nullopt);
 
-  /// Blocking wrapper for the local executor.
-  Record BlockingRead(ObjectKey key, TxnId expected_version);
-
-  /// Deadline-aware blocking read: kUnavailable when `expected_version`
-  /// does not materialise within `timeout` (e.g. the producing machine
-  /// crashed), instead of hanging forever. A timeout of zero waits
-  /// forever. The parked read may still be served later; its value is
-  /// discarded.
+  /// Blocking read for the local executor: kUnavailable when
+  /// `expected_version` does not materialise within `timeout` (e.g. the
+  /// producing machine crashed), instead of hanging forever. The parked
+  /// read may still be served later; its value is discarded.
   [[nodiscard]] Result<Record> BlockingReadFor(
       ObjectKey key, TxnId expected_version,
       std::chrono::microseconds timeout);

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/wire.h"
 #include "obs/trace.h"
 #include "runtime/channel.h"
 #include "runtime/cluster.h"
@@ -308,7 +309,8 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
     (void)ctx.Get(5);
     return Status::Ok();
   });
-  Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
+  Machine m(0, 2, &store, &registry, [](MachineId, Message) {},
+            [](std::vector<std::pair<MachineId, Message>>&) {});
   m.StartTPart();
 
   // One plan whose only read awaits forward-push <5, v7> from machine 1 —
@@ -327,9 +329,20 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
   spec.id = 1;
   spec.proc = 200;
   spec.rw.reads = {5};
-  std::vector<Machine::PlanItem> items;
-  items.push_back(Machine::PlanItem{plan, spec});
-  m.EnqueueTPartEpoch(1, std::move(items));
+  // Shipped through the real intake: round 1 as a kSinkPlan, then the
+  // plan-stream end.
+  SinkPlan round;
+  round.epoch = 1;
+  round.txns.push_back(plan);
+  Message ship;
+  ship.type = Message::Type::kSinkPlan;
+  ship.plan_bytes = EncodeSinkPlan(round);
+  ship.specs.push_back(spec);
+  m.Deliver(std::move(ship));
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 1;
+  m.Deliver(std::move(end));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   // The work queue is drained (the executor holds the item) but nothing
@@ -357,7 +370,6 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
   push.dst_txn = 1;
   push.value = Record{70};
   m.Deliver(std::move(push));
-  m.FinishEnqueue();
   m.JoinExecutor();
   EXPECT_EQ(m.TakeResults().size(), 1u);
   m.Stop();

@@ -158,6 +158,25 @@ TEST(PipelineTest, TinyBoundsBackpressureAndStayBounded) {
   EXPECT_GE(p.epoch_queue_high_water, 1u);
 }
 
+// Every stage bound and every executor wait is finite: the cluster
+// rejects a zero credit window ("unbounded") and a zero stall timeout
+// ("wait forever") up front instead of running without the bound.
+TEST(PipelineDeathTest, ZeroEpochQueueCapacityIsRejected) {
+  const Workload w = MakeMicroWorkload(SmallMicro());
+  LocalClusterOptions opts = StreamingOpts(TransportKind::kDirect);
+  opts.pipeline.epoch_queue_capacity = 0;
+  EXPECT_DEATH({ LocalCluster cluster(&w, opts); },
+               "epoch_queue_capacity must be > 0");
+}
+
+TEST(PipelineDeathTest, ZeroStallTimeoutIsRejected) {
+  const Workload w = MakeMicroWorkload(SmallMicro());
+  LocalClusterOptions opts = StreamingOpts(TransportKind::kDirect);
+  opts.stall_timeout_us = 0;
+  EXPECT_DEATH({ LocalCluster cluster(&w, opts); },
+               "stall_timeout_us must be > 0");
+}
+
 TEST(PipelineTest, StreamingIsDeterministicAcrossRuns) {
   const Workload w = MakeMicroWorkload(SmallMicro());
   LocalCluster cluster(&w, StreamingOpts(TransportKind::kInProcess));

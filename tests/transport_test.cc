@@ -149,11 +149,12 @@ TEST(TransportTest, FaultyInProcessCommitsEverything) {
 }
 
 TEST(TransportTest, BatchedFramingByteIdenticalUnderFaults) {
-  // The batched-round-frame property: the SAME workload over the SAME
-  // seeded fault schedule must produce identical results and final state
-  // whether executors hand the transport per-message packets or
-  // coalesced per-destination batch frames — batching only changes wire
-  // framing (and the resend granularity), never outcomes.
+  // The batched-round-frame property: executors hand the transport each
+  // publish phase as coalesced per-destination batch frames (one link
+  // sequence number, one resend/dedupe unit per batch). Under a seeded
+  // fault schedule that drops, duplicates and delays those frames, the
+  // run must still match the serial reference exactly — batching only
+  // changes wire framing and resend granularity, never outcomes.
   const Workload w = MakeMicroWorkload(SmallMicro());
   LocalClusterOptions opts = OptsFor(TransportKind::kInProcess);
   opts.transport.faults.seed = 0xFA57;
@@ -163,18 +164,12 @@ TEST(TransportTest, BatchedFramingByteIdenticalUnderFaults) {
   opts.transport.faults.max_delay_us = 1200;
   opts.transport.retry_timeout_us = 1000;
 
-  opts.transport.batch_fanout = false;
-  LocalCluster unbatched(&w, opts);
-  const ClusterRunOutcome ref = unbatched.RunTPart();
-  const auto ref_state = unbatched.store().Snapshot();
-  EXPECT_EQ(ref.transport.batches_sent, 0u);
-
-  opts.transport.batch_fanout = true;
+  const auto [serial_results, serial_state] = SerialReference(w);
   LocalCluster batched(&w, opts);
   const ClusterRunOutcome got = batched.RunTPart();
-  ExpectSameResults(ref.results, got.results);
-  EXPECT_EQ(batched.store().Snapshot(), ref_state)
-      << "batched framing diverged from per-message framing";
+  ExpectSameResults(serial_results, got.results);
+  EXPECT_EQ(batched.store().Snapshot(), serial_state)
+      << "batched framing under faults diverged from the serial reference";
   // Batching really happened: multi-message frames went out, each
   // carrying at least two messages.
   EXPECT_GT(got.transport.batches_sent, 0u);
