@@ -89,10 +89,11 @@ std::string CheckpointStats::Summary() const {
   std::ostringstream out;
   out << "checkpoints=" << checkpoints_taken << " last_epoch=" << last_epoch
       << " records=" << records_captured
+      << " state_keys=" << state_keys_captured
       << " truncated(req/net)=" << truncated_request_entries << "/"
       << truncated_network_messages
       << " pruned_rounds=" << pruned_resend_rounds
-      << " capture_us=" << capture_us
+      << " capture_us=" << capture_us << " capture_us_max=" << capture_us_max
       << " bytes_peak(req/net/window)=" << request_log_bytes_peak << "/"
       << network_log_bytes_peak << "/" << resend_window_bytes_peak;
   return out.str();
@@ -108,6 +109,10 @@ void CheckpointStats::PublishTo(obs::MetricsRegistry& registry) const {
   registry.SetCounter("tpart_checkpoint_records_captured_total",
                       static_cast<double>(records_captured),
                       "Records folded into checkpoint images");
+  registry.SetCounter("tpart_checkpoint_state_keys_captured_total",
+                      static_cast<double>(state_keys_captured),
+                      "Storage version-state keys folded into checkpoint "
+                      "images");
   registry.SetCounter("tpart_checkpoint_truncated_request_entries_total",
                       static_cast<double>(truncated_request_entries),
                       "Request-log entries freed by truncation");
@@ -120,6 +125,9 @@ void CheckpointStats::PublishTo(obs::MetricsRegistry& registry) const {
   registry.SetGauge("tpart_checkpoint_capture_us",
                     static_cast<double>(capture_us),
                     "Wall-clock microseconds spent inside captures");
+  registry.SetGauge("tpart_checkpoint_capture_max_us",
+                    static_cast<double>(capture_us_max),
+                    "Longest single capture (its executor's pause)");
   registry.SetGauge("tpart_checkpoint_request_log_peak_bytes",
                     static_cast<double>(request_log_bytes_peak),
                     "High-water byte footprint of any request log");

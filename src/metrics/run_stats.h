@@ -217,6 +217,9 @@ struct CheckpointStats {
   SinkEpoch last_epoch = 0;
   /// Records folded into checkpoint images (incremental dirty passes).
   std::uint64_t records_captured = 0;
+  /// Storage version-state keys folded into checkpoint images: the keys
+  /// whose state changed between captures, not every key ever touched.
+  std::uint64_t state_keys_captured = 0;
   /// Log entries freed by truncation.
   std::uint64_t truncated_request_entries = 0;
   std::uint64_t truncated_network_messages = 0;
@@ -224,6 +227,9 @@ struct CheckpointStats {
   std::uint64_t pruned_resend_rounds = 0;
   /// Total wall-clock microseconds spent inside captures.
   std::uint64_t capture_us = 0;
+  /// Longest single capture. Each capture pauses its machine's executor,
+  /// so this is the stall a slow run shows.
+  std::uint64_t capture_us_max = 0;
   /// Log-growth visibility: the high-water byte footprint of the §5.4
   /// logs and the resend window. With checkpointing on, these plateau
   /// instead of growing with run length.

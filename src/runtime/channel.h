@@ -32,7 +32,7 @@ struct Message {
     /// Remote storage read of the version tagged `version`.
     kStorageReadReq,
     kStorageReadResp,
-    /// Apply a write-back at the record's home (§5.4: UNDO-logged there).
+    /// Apply a write-back at the record's home.
     kWriteBackApply,
     /// Calvin peer-push of local read results for one transaction (§2.1).
     kPeerReads,

@@ -139,11 +139,7 @@ void LocalCluster::Reset() {
       options_.resize.enabled()) {
     for (std::size_t m = 0; m < machines_.size(); ++m) {
       auto cp = std::make_unique<MachineCheckpoint>();
-      store_->store(static_cast<MachineId>(m))
-          .Scan(0, std::numeric_limits<ObjectKey>::max(),
-                [&](ObjectKey key, const Record& value) {
-                  cp->records.Put(key, value);
-                });
+      cp->records.Load(store_->store(static_cast<MachineId>(m)));
       machines_[m]->ConfigureCheckpoint(cp.get(), options_.checkpoint_every);
       checkpoints_.push_back(std::move(cp));
     }
@@ -1318,7 +1314,10 @@ ClusterRunOutcome LocalCluster::RunTPart() {
         cp.truncated_request_entries;
     outcome.checkpoint.truncated_network_messages +=
         cp.truncated_network_messages;
+    outcome.checkpoint.state_keys_captured += cp.state_keys_captured;
     outcome.checkpoint.capture_us += cp.capture_us;
+    outcome.checkpoint.capture_us_max =
+        std::max(outcome.checkpoint.capture_us_max, cp.capture_us_max);
   }
   for (const auto& m : machines_) {
     outcome.checkpoint.request_log_bytes_peak =

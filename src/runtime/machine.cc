@@ -1139,7 +1139,7 @@ void Machine::RunCheckpointBarrier(SinkEpoch epoch) {
   inbound_.Send(std::move(barrier));
   // Wait for the service thread to capture. This pause is local: other
   // machines keep executing; only this machine's epoch pipeline stalls
-  // for the (incremental, O(dirty)) capture.
+  // for the capture, which is O(state changed since the previous one).
   std::unique_lock<std::mutex> lock(ckpt_mu_);
   ckpt_cv_.wait(lock, [&] { return ckpt_done_; });
 }
@@ -1161,15 +1161,28 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
   // has executed every request-log entry — so the images below cover
   // exactly the effects of rounds <= epoch, and both §5.4 logs truncate
   // to empty: later traffic forms the replay suffix.
+  //
+  // Every image below is brought up to date at O(changed) cost: records
+  // and version state fold only the keys touched since the previous
+  // capture, and results append only the ones committed since.
   cp.records_captured +=
       cp.records.ApplyDirty(*store_, storage_.TakeDirtyKeys());
   cp.cache = cache_.Capture();
-  cp.storage = storage_.Capture();
+  cp.state_keys_captured += storage_.FoldChanges(cp.storage);
   {
     // Suffix replay cannot regenerate the truncated prefix's results, so
     // the capture carries everything accumulated up to the boundary.
+    // results_ only grows between captures, and recovery restores it to
+    // exactly cp.results, so the image is always a prefix of it.
     std::lock_guard<std::mutex> lock(results_mu_);
-    cp.results = results_;
+    const std::size_t kept = cp.results.size();
+    TPART_CHECK(kept <= results_.size() &&
+                (kept == 0 || results_[kept - 1].id == cp.results.back().id))
+        << "machine " << id_ << " checkpoint results (" << kept
+        << ") are not a prefix of its " << results_.size() << " results";
+    cp.results.insert(cp.results.end(),
+                      results_.begin() + static_cast<std::ptrdiff_t>(kept),
+                      results_.end());
   }
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
@@ -1189,10 +1202,12 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
     network_log_bytes_ = 0;
   }
   ++cp.captures_taken;
-  cp.capture_us += static_cast<std::uint64_t>(
+  const auto capture_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
+  cp.capture_us += capture_us;
+  cp.capture_us_max = std::max(cp.capture_us_max, capture_us);
   // Publish the epoch last: once visible, the cluster may prune resend
   // rounds <= epoch, which is only safe after the images are complete.
   cp.set_epoch(epoch);

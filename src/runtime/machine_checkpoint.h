@@ -20,10 +20,7 @@ namespace tpart {
 /// ReplayMachine()) needs to resume from epoch E instead of from the
 /// initial load.
 ///
-///  * `records` — the partition's data, maintained incrementally: each
-///    capture folds only the keys written back since the previous capture
-///    into the zig-zag image (ZigZagCheckpointStore::ApplyDirty), so a
-///    capture costs O(dirty), not O(partition).
+///  * `records` — the partition's data.
 ///  * `cache` / `storage` — the volatile execution state the truncated
 ///    log suffix depends on: live cache entries and the storage version
 ///    discipline (current tags, parked write-backs, parked remote reads).
@@ -32,6 +29,14 @@ namespace tpart {
 ///  * `results` — the transaction results accumulated up to the capture.
 ///    Replaying only the suffix cannot regenerate the truncated prefix's
 ///    results, so the capture carries them.
+///
+/// The images persist across captures, and a capture costs O(state
+/// changed since the previous one), not O(run so far): `records` folds
+/// only the keys written back since (ZigZagCheckpointStore::ApplyDirty),
+/// `storage` only the keys whose version state changed
+/// (StorageService::FoldChanges), and `results` appends only the newly
+/// accumulated results. The cache image is bounded by the live cache and
+/// is copied whole.
 ///
 /// Thread-safety: capture runs on the victim's service thread; restore
 /// runs on the watchdog thread strictly after the victim crashed (its
@@ -48,7 +53,9 @@ struct MachineCheckpoint {
   // --- capture statistics (read after the run joins) -------------------
   std::uint64_t captures_taken = 0;
   std::uint64_t records_captured = 0;
+  std::uint64_t state_keys_captured = 0;
   std::uint64_t capture_us = 0;
+  std::uint64_t capture_us_max = 0;
   std::uint64_t truncated_request_entries = 0;
   std::uint64_t truncated_network_messages = 0;
 

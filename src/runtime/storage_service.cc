@@ -37,6 +37,15 @@ void ReleaseReadyVec(ReadyVec v) {
 
 }  // namespace
 
+StorageService::KeyState& StorageService::TouchLocked(ObjectKey key) {
+  KeyState& st = keys_[key];
+  if (!st.changed) {
+    st.changed = true;
+    changed_keys_.push_back(key);
+  }
+  return st;
+}
+
 Record StorageService::CurrentValueLocked(ObjectKey key, const KeyState& st) {
   (void)st;
   Result<Record> r = store_->Read(key);
@@ -72,11 +81,6 @@ void StorageService::DrainKeyLocked(
     if (it != st.parked_wbs.end()) {
       ParkedWb& wb = *it;
       if (st.reads_served_since_wb >= wb.awaits) {
-        wb_log_.BeginBatch(++next_log_batch_);
-        Result<Record> old = store_->Read(key);
-        wb_log_.LogWrite(key, old.ok()
-                                  ? std::optional<Record>(std::move(*old))
-                                  : std::nullopt);
         if (wb.value.is_absent()) {
           // Blind delete: an absent write-back may target a key already
           // gone; kNotFound is the expected no-op, not an error.
@@ -84,7 +88,6 @@ void StorageService::DrainKeyLocked(
         } else {
           store_->Upsert(key, wb.value);
         }
-        wb_log_.CommitBatch();
         ++write_backs_applied_;
         dirty_keys_.emplace(key, 0);
         st.current = wb.version;
@@ -107,7 +110,7 @@ void StorageService::AsyncRead(ObjectKey key, TxnId expected_version,
     if (shutdown_) {
       ready.emplace_back(std::move(done), Record::Absent());
     } else {
-      KeyState& st = keys_[key];
+      KeyState& st = TouchLocked(key);
       if (st.current == expected_version) {
         if (st.has_sticky) ++sticky_hits_;
         ready.emplace_back(std::move(done), CurrentValueLocked(key, st));
@@ -218,7 +221,7 @@ void StorageService::ApplyWriteBack(ObjectKey key, TxnId version,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) return;
-    KeyState& st = keys_[key];
+    KeyState& st = TouchLocked(key);
     // Mirror std::map::emplace semantics: a duplicate (same replaced
     // version) is dropped, not double-applied.
     const bool dup = std::any_of(
@@ -241,7 +244,11 @@ void StorageService::Shutdown() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
     for (auto& [key, st] : keys_) {
-      (void)key;
+      if (st.parked_reads.empty()) continue;
+      if (!st.changed) {
+        st.changed = true;
+        changed_keys_.push_back(key);
+      }
       for (auto& pr : st.parked_reads) {
         ready.emplace_back(std::move(pr.done), Record::Absent());
       }
@@ -257,40 +264,50 @@ void StorageService::Reset() {
   // log replay re-issues them. ReadDone callbacks still parked here only
   // capture shared or machine-owned state, so dropping them is safe.
   keys_.clear();
+  changed_keys_.clear();
   shutdown_ = false;
 }
 
-StorageService::Image StorageService::Capture() const {
+std::size_t StorageService::FoldChanges(Image& image) {
   std::lock_guard<std::mutex> lock(mu_);
-  Image image;
-  // Deterministic key order so same-seed captures are byte-identical.
-  std::vector<ObjectKey> order;
-  order.reserve(keys_.size());
-  for (const auto& [key, st] : keys_) {
-    (void)st;
-    order.push_back(key);
-  }
-  std::sort(order.begin(), order.end());
-  image.keys.reserve(order.size());
-  for (const ObjectKey key : order) {
-    const KeyState& st = keys_.at(key);
-    Image::KeyImage ki;
-    ki.key = key;
+  std::size_t folded = 0;
+  for (const ObjectKey key : changed_keys_) {
+    auto it = keys_.find(key);
+    if (it == keys_.end()) {
+      // Erased: move the last entry into this one's place.
+      auto pos = image.index.find(key);
+      if (pos == image.index.end()) continue;
+      const std::size_t i = pos->second;
+      image.index.erase(key);
+      if (i + 1 != image.keys.size()) {
+        image.keys[i] = std::move(image.keys.back());
+        image.index[image.keys[i].key] = i;
+      }
+      image.keys.pop_back();
+      ++folded;
+      continue;
+    }
+    KeyState& st = it->second;
+    if (!st.changed) continue;  // listed again after an erase; folded
+    st.changed = false;
+    ++folded;
+    const auto [pos, inserted] = image.index.emplace(key, image.keys.size());
+    if (inserted) image.keys.emplace_back().key = key;
+    Image::KeyImage& ki = image.keys[pos->second];
     ki.current = st.current;
     ki.reads_served_since_wb = st.reads_served_since_wb;
     ki.has_sticky = st.has_sticky;
     ki.sticky_expire = st.sticky_expire;
-    std::vector<const ParkedWb*> wbs;
-    wbs.reserve(st.parked_wbs.size());
-    for (const ParkedWb& wb : st.parked_wbs) wbs.push_back(&wb);
-    std::sort(wbs.begin(), wbs.end(), [](const ParkedWb* a, const ParkedWb* b) {
-      return a->replaces < b->replaces;
-    });
-    for (const ParkedWb* wb : wbs) {
+    ki.parked_wbs.clear();
+    for (const ParkedWb& wb : st.parked_wbs) {
       ki.parked_wbs.push_back(Image::ParkedWbImage{
-          wb->version, wb->replaces, wb->value, wb->awaits, wb->sticky,
-          wb->epoch});
+          wb.version, wb.replaces, wb.value, wb.awaits, wb.sticky, wb.epoch});
     }
+    std::sort(ki.parked_wbs.begin(), ki.parked_wbs.end(),
+              [](const Image::ParkedWbImage& a, const Image::ParkedWbImage& b) {
+                return a.replaces < b.replaces;
+              });
+    ki.parked_remote_reads.clear();
     for (const ParkedRead& pr : st.parked_reads) {
       // The executor is quiescent at capture, so every parked read must be
       // a remote pull; a local wait here would be lost by the checkpoint.
@@ -300,9 +317,9 @@ StorageService::Image StorageService::Capture() const {
       ki.parked_remote_reads.push_back(
           Image::ParkedRemoteRead{pr.expected, *pr.remote});
     }
-    image.keys.push_back(std::move(ki));
   }
-  return image;
+  changed_keys_.clear();
+  return folded;
 }
 
 void StorageService::Restore(const Image& image,
@@ -310,7 +327,9 @@ void StorageService::Restore(const Image& image,
   std::lock_guard<std::mutex> lock(mu_);
   keys_.clear();
   dirty_keys_.clear();
-  for (const auto& ki : image.keys) {
+  changed_keys_.clear();
+  keys_.reserve(image.keys.size());
+  for (const Image::KeyImage& ki : image.keys) {
     KeyState& st = keys_[ki.key];
     st.current = ki.current;
     st.reads_served_since_wb = ki.reads_served_since_wb;
@@ -354,6 +373,7 @@ std::vector<StorageService::MigratedKeyState> StorageService::ExtractKeys(
         << "barrier did not quiesce the stream";
     out.push_back(MigratedKeyState{key, st.current, st.reads_served_since_wb,
                                    st.has_sticky, st.sticky_expire});
+    if (!st.changed) changed_keys_.push_back(key);  // the fold drops it
     keys_.erase(it);
     dirty_keys_.emplace(key, 0);  // forced capture must fold the deletion
   }
@@ -363,7 +383,7 @@ std::vector<StorageService::MigratedKeyState> StorageService::ExtractKeys(
 void StorageService::InstallKeys(const std::vector<MigratedKeyState>& keys) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const MigratedKeyState& mk : keys) {
-    KeyState& st = keys_[mk.key];
+    KeyState& st = TouchLocked(mk.key);
     st.current = mk.current;
     st.reads_served_since_wb = mk.reads_served_since_wb;
     st.has_sticky = mk.has_sticky;
@@ -386,7 +406,6 @@ std::vector<ObjectKey> StorageService::TakeDirtyKeys() {
     out.push_back(key);
   }
   dirty_keys_.clear();
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/kv_store.h"
-#include "storage/write_back_log.h"
 
 namespace tpart {
 
@@ -27,8 +26,14 @@ namespace tpart {
 ///    applied, and (b) its `awaits` count of reads of the previous version
 ///    have been served — so concurrent sinking rounds on different
 ///    machines can never overtake each other on storage.
-/// Write-backs are the only storage writes and are UNDO-logged (§5.4);
-/// applied values also feed the sticky cache (§5.2).
+/// Write-backs are the only storage writes; applied values also feed the
+/// sticky cache (§5.2). Crash recovery restores a checkpoint and replays
+/// the §5.4 logs, so no write is ever undone and none is logged here.
+///
+/// Checkpoint capture is O(changed): every key whose version-discipline
+/// state changes is recorded once (KeyState::changed plus an append-only
+/// key list), and FoldChanges() copies only those keys into the image the
+/// checkpoint keeps across captures.
 class StorageService {
  public:
   StorageService(KvStore* store, SinkEpoch sticky_ttl = 2)
@@ -43,6 +48,7 @@ class StorageService {
   struct RemoteReadTag {
     MachineId reply_to = kInvalidMachine;
     std::uint64_t req_id = 0;
+    bool operator==(const RemoteReadTag&) const = default;
   };
 
   /// Serves (possibly later) the version of `key` tagged
@@ -74,15 +80,18 @@ class StorageService {
   /// parked write-back and re-opens a previously Shutdown() service. The
   /// underlying KvStore is restored separately (checkpoint); replaying
   /// the request/network logs rebuilds the version discipline from the
-  /// initial state, exactly like a fresh machine. Cumulative counters
-  /// (reads served, write-backs applied) are deliberately kept.
+  /// initial state, exactly like a fresh machine. Nothing is left to
+  /// fold: recovery follows a reset with Restore() from the checkpoint's
+  /// image, or, before the first capture, the image is still empty.
+  /// Cumulative counters (reads served, write-backs applied) are
+  /// deliberately kept.
   void Reset();
 
   /// Checkpoint image of the version discipline: per-key current tag,
   /// read counts, sticky state, parked write-backs (as plain data), and
-  /// parked *remote* reads (as reconstruction tags). Captured at a
-  /// quiescent epoch boundary; any untagged (local-executor) parked read
-  /// at capture time is a bug and CHECK-fails.
+  /// parked *remote* reads (as reconstruction tags), one entry per key.
+  /// A checkpoint keeps one image across captures and FoldChanges()
+  /// brings it up to date.
   struct Image {
     struct ParkedWbImage {
       TxnId version;
@@ -91,35 +100,49 @@ class StorageService {
       std::uint32_t awaits;
       bool sticky;
       SinkEpoch epoch;
+      bool operator==(const ParkedWbImage&) const = default;
     };
     struct ParkedRemoteRead {
       TxnId expected;
       RemoteReadTag tag;
+      bool operator==(const ParkedRemoteRead&) const = default;
     };
     struct KeyImage {
-      ObjectKey key;
-      TxnId current;
-      std::uint32_t reads_served_since_wb;
-      bool has_sticky;
-      SinkEpoch sticky_expire;
-      std::vector<ParkedWbImage> parked_wbs;
+      ObjectKey key = 0;
+      TxnId current = kInvalidTxnId;
+      std::uint32_t reads_served_since_wb = 0;
+      bool has_sticky = false;
+      SinkEpoch sticky_expire = 0;
+      std::vector<ParkedWbImage> parked_wbs;  // sorted by `replaces`
       std::vector<ParkedRemoteRead> parked_remote_reads;
+      bool operator==(const KeyImage&) const = default;
     };
+    // One entry per key with state, in no particular order, and each
+    // key's position in `keys`. Growing a flat vector plus a 16-byte
+    // index costs far less than rehashing whole entries.
     std::vector<KeyImage> keys;
+    FlatMap<ObjectKey, std::size_t> index;
   };
 
-  Image Capture() const;
+  /// Brings `image` up to date with the current state at O(changed) cost:
+  /// folds in every key whose state changed since the last FoldChanges(),
+  /// Restore() or Reset(), and drops keys whose state was erased
+  /// (ExtractKeys). Called at a quiescent epoch boundary; any untagged
+  /// (local-executor) parked read on a folded key is a bug and
+  /// CHECK-fails. Returns the number of keys folded in or dropped.
+  std::size_t FoldChanges(Image& image);
 
   /// Rebuilds a ReadDone reply callback from a RemoteReadTag at restore.
   using MakeRemoteDone = std::function<ReadDone(const RemoteReadTag&)>;
 
   /// Replaces the version-discipline state with `image` and re-opens the
   /// service; parked remote reads get fresh callbacks via `make_done`.
+  /// The state then equals `image`, so nothing is left to fold.
   /// Cumulative counters are kept, mirroring Reset().
   void Restore(const Image& image, const MakeRemoteDone& make_done);
 
   /// Drains the set of keys written back since the last call (the dirty
-  /// set for an incremental checkpoint pass).
+  /// set for an incremental checkpoint pass), in no particular order.
   std::vector<ObjectKey> TakeDirtyKeys();
 
   /// Per-key migration state, extracted from a quiesced source machine.
@@ -152,7 +175,6 @@ class StorageService {
   /// mutations even for keys that never had version-discipline state.
   void MarkDirty(const std::vector<ObjectKey>& keys);
 
-  const WriteBackLog& write_back_log() const { return wb_log_; }
   std::uint64_t sticky_hits() const;
   std::uint64_t reads_served() const;
   std::uint64_t write_backs_applied() const;
@@ -177,13 +199,21 @@ class StorageService {
     std::vector<ParkedRead> parked_reads;
     // A write-back applies only when the version it replaces is current.
     // At most a handful park per key, so a flat vector (linear search on
-    // `replaces`) beats a node-based map; Capture() sorts by `replaces`
+    // `replaces`) beats a node-based map; FoldChanges() sorts by `replaces`
     // to keep checkpoint images byte-identical to the old map order.
     std::vector<ParkedWb> parked_wbs;
     // Sticky copy of the current version (§5.2).
     bool has_sticky = false;
     SinkEpoch sticky_expire = 0;
+    // Changed since the last fold: the key is in changed_keys_.
+    bool changed = false;
   };
+
+  // mu_ held; the key's state, created if missing and marked changed.
+  // Every KeyState mutation goes through here (DrainKeyLocked only runs
+  // on a key its caller just touched) except two that list the key
+  // themselves: Shutdown() releasing parked reads, ExtractKeys() erasing.
+  KeyState& TouchLocked(ObjectKey key);
 
   // mu_ held; returns callbacks to run after unlock.
   void DrainKeyLocked(ObjectKey key, KeyState& st,
@@ -199,8 +229,10 @@ class StorageService {
   // only storage writes, so this is the full dirty set). FlatMap-as-set:
   // the value byte is unused.
   FlatMap<ObjectKey, char> dirty_keys_;
-  WriteBackLog wb_log_;
-  SinkEpoch next_log_batch_ = 0;
+  // Keys whose KeyState changed or was erased since the last fold, each
+  // listed once per change of KeyState::changed (an erased key that
+  // comes back may be listed twice; FoldChanges() skips the repeat).
+  std::vector<ObjectKey> changed_keys_;
   std::uint64_t sticky_hits_ = 0;
   std::uint64_t reads_served_total_ = 0;
   std::uint64_t write_backs_applied_ = 0;

@@ -89,9 +89,8 @@ struct CachePublishStep {
 };
 
 /// Write the version back to the storage holding `key` (possibly remote).
-/// Write-backs are the only storage writes in T-Part and are UNDO-logged
-/// (§5.4). When `make_sticky`, the home machine also retains the value in
-/// its sticky cache (§5.2).
+/// Write-backs are the only storage writes in T-Part. When `make_sticky`,
+/// the home machine also retains the value in its sticky cache (§5.2).
 struct WriteBackStep {
   ObjectKey key = 0;
   MachineId home = kInvalidMachine;

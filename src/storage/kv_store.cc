@@ -20,6 +20,11 @@ Result<Record> KvStore::Read(ObjectKey key) const {
   return it->second;
 }
 
+const Record* KvStore::Find(ObjectKey key) const {
+  auto it = records_.find(key);
+  return it == records_.end() ? nullptr : &it->second;
+}
+
 Record* KvStore::ReadMutable(ObjectKey key) {
   auto it = records_.find(key);
   return it == records_.end() ? nullptr : &it->second;

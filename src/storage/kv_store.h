@@ -35,6 +35,10 @@ class KvStore {
   /// Reads a record. Fails with NotFound when absent.
   Result<Record> Read(ObjectKey key) const;
 
+  /// The stored record without a copy, or nullptr; valid until the next
+  /// mutation of the store.
+  const Record* Find(ObjectKey key) const;
+
   /// Returns a mutable pointer to the stored record, or nullptr.
   Record* ReadMutable(ObjectKey key);
 

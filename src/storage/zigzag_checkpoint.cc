@@ -1,38 +1,69 @@
 #include "storage/zigzag_checkpoint.h"
 
+#include <limits>
 #include <mutex>
 
 namespace tpart {
 
-void ZigZagCheckpointStore::Put(ObjectKey key, Record value) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Slot& s = slots_[key];
-  s.copy[s.mw] = std::move(value);
+ZigZagCheckpointStore::Slot& ZigZagCheckpointStore::SlotFor(ObjectKey key) {
+  const auto [it, inserted] = index_.emplace(key, num_slots_);
+  if (inserted) {
+    if (num_slots_ % kChunkSlots == 0) {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    }
+    ++num_slots_;
+  }
+  return SlotAt(it->second);
+}
+
+void ZigZagCheckpointStore::PutLocked(ObjectKey key, const Record& value) {
+  Slot& s = SlotFor(key);
+  // Copy-assignment reuses the slot's field storage.
+  s.copy[s.mw] = value;
   // Reads follow the freshest copy (zig-zag's MR <- MW on update).
   s.mr = s.mw;
 }
 
+void ZigZagCheckpointStore::DeleteLocked(ObjectKey key) {
+  auto it = index_.find(key);
+  if (it == index_.end()) return;
+  Slot& s = SlotAt(it->second);
+  s.copy[s.mw] = Record::Absent();
+  s.mr = s.mw;
+}
+
+void ZigZagCheckpointStore::Put(ObjectKey key, Record value) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  PutLocked(key, value);
+}
+
+std::size_t ZigZagCheckpointStore::Load(const KvStore& source) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  index_.reserve(index_.size() + source.size());
+  return source.Scan(0, std::numeric_limits<ObjectKey>::max(),
+                     [&](ObjectKey key, const Record& value) {
+                       PutLocked(key, value);
+                     });
+}
+
 Record ZigZagCheckpointStore::Get(ObjectKey key) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = slots_.find(key);
-  if (it == slots_.end()) return Record::Absent();
-  return it->second.copy[it->second.mr];
+  auto it = index_.find(key);
+  if (it == index_.end()) return Record::Absent();
+  const Slot& s = SlotAt(it->second);
+  return s.copy[s.mr];
 }
 
 void ZigZagCheckpointStore::Delete(ObjectKey key) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = slots_.find(key);
-  if (it == slots_.end()) return;
-  Slot& s = it->second;
-  s.copy[s.mw] = Record::Absent();
-  s.mr = s.mw;
+  DeleteLocked(key);
 }
 
 std::size_t ZigZagCheckpointStore::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& [k, s] : slots_) {
-    (void)k;
+  for (std::size_t i = 0; i < num_slots_; ++i) {
+    const Slot& s = SlotAt(i);
     if (!s.copy[s.mr].is_absent()) ++n;
   }
   return n;
@@ -42,13 +73,19 @@ std::size_t ZigZagCheckpointStore::Checkpoint(
     const std::function<void(ObjectKey, const Record&)>& emit) {
   // Phase 1 (brief exclusive section): freeze the current committed copy
   // of every key by pointing writes at the other one.
-  std::vector<std::pair<ObjectKey, std::uint8_t>> frozen;
+  struct Frozen {
+    ObjectKey key;
+    std::size_t slot;
+    std::uint8_t copy;
+  };
+  std::vector<Frozen> frozen;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    frozen.reserve(slots_.size());
-    for (auto& [key, s] : slots_) {
+    frozen.reserve(index_.size());
+    for (const auto& [key, slot] : index_) {
+      Slot& s = SlotAt(slot);
       s.mw = static_cast<std::uint8_t>(1 - s.mr);
-      frozen.emplace_back(key, s.mr);
+      frozen.push_back(Frozen{key, slot, s.mr});
     }
   }
   // Phase 2: stream the frozen copies. Concurrent Put()s write the other
@@ -56,16 +93,14 @@ std::size_t ZigZagCheckpointStore::Checkpoint(
   // new value while our frozen index keeps snapshotting the old one.
   // `emit` runs outside the lock so it may itself touch the store.
   std::size_t captured = 0;
-  for (const auto& [key, idx] : frozen) {
+  for (const Frozen& f : frozen) {
     Record rec;
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
-      auto it = slots_.find(key);
-      if (it == slots_.end()) continue;
-      rec = it->second.copy[idx];
+      rec = SlotAt(f.slot).copy[f.copy];
     }
     if (rec.is_absent()) continue;
-    emit(key, rec);
+    emit(f.key, rec);
     ++captured;
   }
   {
@@ -77,17 +112,17 @@ std::size_t ZigZagCheckpointStore::Checkpoint(
 
 std::size_t ZigZagCheckpointStore::ApplyDirty(
     const KvStore& source, const std::vector<ObjectKey>& dirty_keys) {
-  std::size_t folded = 0;
+  // One exclusive section for the whole set: a lock round-trip per key
+  // cost more than the fold itself.
+  std::unique_lock<std::shared_mutex> lock(mu_);
   for (const ObjectKey key : dirty_keys) {
-    Result<Record> r = source.Read(key);
-    if (r.ok()) {
-      Put(key, std::move(r).value());
+    if (const Record* value = source.Find(key); value != nullptr) {
+      PutLocked(key, *value);
     } else {
-      Delete(key);
+      DeleteLocked(key);
     }
-    ++folded;
   }
-  return folded;
+  return dirty_keys.size();
 }
 
 std::uint64_t ZigZagCheckpointStore::rounds() const {

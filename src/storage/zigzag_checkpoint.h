@@ -3,10 +3,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "storage/kv_store.h"
 #include "storage/record.h"
@@ -29,6 +30,10 @@ class ZigZagCheckpointStore {
  public:
   /// Inserts or overwrites `key` (the mutator path).
   void Put(ObjectKey key, Record value);
+
+  /// Puts every record of `source` under one lock with the map sized up
+  /// front (the load-time checkpoint). Returns the number of records.
+  std::size_t Load(const KvStore& source);
 
   /// Reads the latest committed value; Record::Absent() when missing.
   Record Get(ObjectKey key) const;
@@ -53,8 +58,8 @@ class ZigZagCheckpointStore {
   /// checkpoint image (Put when present, Delete when absent), leaving all
   /// other keys untouched. With write-backs as the only storage writes,
   /// passing the keys written back since the previous refresh makes this
-  /// image equal to a full copy of `source` at O(dirty) cost. Returns the
-  /// number of keys folded in.
+  /// image equal to a full copy of `source` at O(dirty) cost, under one
+  /// exclusive lock. Returns the number of keys folded in.
   std::size_t ApplyDirty(const KvStore& source,
                          const std::vector<ObjectKey>& dirty_keys);
 
@@ -68,9 +73,28 @@ class ZigZagCheckpointStore {
       copy[1] = Record::Absent();
     }
   };
+  // Slots live in fixed-size chunks that never move, and the index maps a
+  // key to its slot number. A key keeps its slot for the store's life
+  // (Delete writes an absent copy), so growth only rehashes the 16-byte
+  // index entries, never the records, and an insert allocates no node.
+  static constexpr std::size_t kChunkSlots = 1024;
+
+  // mu_ held exclusively.
+  Slot& SlotFor(ObjectKey key);
+  void PutLocked(ObjectKey key, const Record& value);
+  void DeleteLocked(ObjectKey key);
+  // mu_ held (shared or exclusive).
+  Slot& SlotAt(std::size_t i) {
+    return chunks_[i / kChunkSlots][i % kChunkSlots];
+  }
+  const Slot& SlotAt(std::size_t i) const {
+    return chunks_[i / kChunkSlots][i % kChunkSlots];
+  }
 
   mutable std::shared_mutex mu_;
-  std::unordered_map<ObjectKey, Slot> slots_;
+  FlatMap<ObjectKey, std::size_t> index_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::size_t num_slots_ = 0;
   std::uint64_t rounds_ = 0;
 };
 

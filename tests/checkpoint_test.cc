@@ -163,6 +163,9 @@ TEST(CheckpointTest, CheckpointedRunMatchesBaselineOnEveryTransport) {
     EXPECT_GE(got.out.checkpoint.checkpoints_taken, 3u) << label;
     EXPECT_GE(got.out.checkpoint.last_epoch, 5u) << label;
     EXPECT_GT(got.out.checkpoint.records_captured, 0u) << label;
+    EXPECT_GT(got.out.checkpoint.state_keys_captured, 0u) << label;
+    EXPECT_LE(got.out.checkpoint.capture_us_max,
+              got.out.checkpoint.capture_us) << label;
     EXPECT_GT(got.out.checkpoint.truncated_request_entries, 0u) << label;
     EXPECT_GT(got.out.checkpoint.truncated_network_messages, 0u) << label;
   }
@@ -284,6 +287,8 @@ TEST(CheckpointTest, CheckpointStatsSummaryNamesTheCounters) {
   stats.checkpoints_taken = 6;
   stats.last_epoch = 20;
   stats.records_captured = 123;
+  stats.state_keys_captured = 77;
+  stats.capture_us_max = 900;
   stats.truncated_request_entries = 300;
   stats.truncated_network_messages = 450;
   stats.pruned_resend_rounds = 15;
@@ -293,6 +298,8 @@ TEST(CheckpointTest, CheckpointStatsSummaryNamesTheCounters) {
   EXPECT_NE(s.find("last_epoch=20"), std::string::npos) << s;
   EXPECT_NE(s.find("truncated(req/net)=300/450"), std::string::npos) << s;
   EXPECT_NE(s.find("pruned_rounds=15"), std::string::npos) << s;
+  EXPECT_NE(s.find("state_keys=77"), std::string::npos) << s;
+  EXPECT_NE(s.find("capture_us_max=900"), std::string::npos) << s;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <map>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "storage/zigzag_checkpoint.h"
@@ -78,6 +79,43 @@ TEST(ZigZagTest, DeletedKeysAbsentFromLaterCheckpoints) {
   store.Delete(1);
   std::size_t captured = store.Checkpoint([](ObjectKey, const Record&) {});
   EXPECT_EQ(captured, 1u);
+}
+
+TEST(ZigZagTest, LoadAndApplyDirtyMatchTheSourceAcrossSlotChunks) {
+  // Thousands of keys span several slot chunks; the image must equal the
+  // source after the bulk load and after each incremental fold.
+  KvStore source;
+  for (ObjectKey k = 0; k < 3000; ++k) {
+    source.Upsert(k, Record{static_cast<std::int64_t>(k), 1, 2, 3, 4, 5, 6});
+  }
+  ZigZagCheckpointStore store;
+  EXPECT_EQ(store.Load(source), 3000u);
+  const auto expect_same = [&] {
+    std::map<ObjectKey, Record> want;
+    source.Scan(0, 1u << 20,
+                [&](ObjectKey k, const Record& r) { want.emplace(k, r); });
+    std::map<ObjectKey, Record> got;
+    store.Checkpoint([&](ObjectKey k, const Record& r) {
+      EXPECT_TRUE(got.emplace(k, r).second);
+    });
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(store.size(), want.size());
+  };
+  expect_same();
+
+  std::vector<ObjectKey> dirty;
+  for (ObjectKey k = 2990; k < 4200; ++k) {  // updates, then inserts
+    source.Upsert(k, Record{-static_cast<std::int64_t>(k)});
+    dirty.push_back(k);
+  }
+  for (ObjectKey k = 0; k < 3000; k += 7) {  // deletes
+    (void)source.Delete(k);
+    dirty.push_back(k);
+  }
+  EXPECT_EQ(store.ApplyDirty(source, dirty), dirty.size());
+  expect_same();
+  EXPECT_TRUE(store.Get(7).is_absent());
+  EXPECT_EQ(store.Get(4199).field(0), -4199);
 }
 
 TEST(ZigZagTest, ConcurrentMutatorAndCheckpointer) {
