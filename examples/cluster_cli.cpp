@@ -363,7 +363,6 @@ int main(int argc, char** argv) {
     if (!crash.empty()) {
       // Comma list of events in firing order: M@EPOCH crash-stops a
       // worker, seq@EPOCH crash-stops the coordinator leader.
-      bool have_worker = false;
       for (std::size_t pos = 0; pos < crash.size();) {
         std::size_t comma = crash.find(',', pos);
         if (comma == std::string::npos) comma = crash.size();
@@ -413,19 +412,10 @@ int main(int argc, char** argv) {
         }
         const auto machine =
             static_cast<MachineId>(std::atoll(item.substr(0, at).c_str()));
-        if (!have_worker) {
-          opts.crash.machine = machine;
-          opts.crash.at_epoch = epoch;
-          have_worker = true;
-        } else {
-          LocalClusterOptions::CrashEvent event;
-          event.machine = machine;
-          event.at_epoch = epoch;
-          opts.crash.more.push_back(event);
-        }
+        opts.crash.events.push_back({machine, epoch});
       }
       opts.crash.recover = !no_recover;
-      if (have_worker) opts.detector.enabled = true;
+      if (opts.crash.enabled()) opts.detector.enabled = true;
     }
     if (!chaos.empty()) {
       if (!crash.empty()) {

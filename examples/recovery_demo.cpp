@@ -14,6 +14,7 @@
 //
 //   ./build/examples/recovery_demo
 
+#include <algorithm>
 #include <cstdio>
 
 #include "runtime/cluster.h"
@@ -33,10 +34,11 @@ MicroOptions DemoWorkload() {
   return wopts;
 }
 
-std::vector<std::pair<ObjectKey, Record>> Dump(KvStore& store) {
+std::vector<std::pair<ObjectKey, Record>> Dump(const KvStore& store) {
   std::vector<std::pair<ObjectKey, Record>> out;
-  store.Scan(0, ~ObjectKey{0},
-             [&](ObjectKey k, const Record& r) { out.emplace_back(k, r); });
+  store.ForEach([&](ObjectKey k, const Record& r) { out.emplace_back(k, r); });
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
@@ -62,8 +64,7 @@ int main() {
   // ---- 2. Same run with a crash injected: machine 1 dies at epoch 5,
   // the watchdog detects it and rebuilds it mid-run.
   LocalClusterOptions faulty = base;
-  faulty.crash.machine = 1;
-  faulty.crash.at_epoch = 5;
+  faulty.crash.events = {{1, 5}};
   faulty.detector.enabled = true;
   LocalCluster cluster(&workload, faulty);
   const ClusterRunOutcome out = cluster.RunTPart();

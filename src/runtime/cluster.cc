@@ -104,9 +104,7 @@ void LocalCluster::Reset() {
     elastic_ = std::move(elastic);
     machine_map = elastic_;
   }
-  store_ = std::make_unique<PartitionedStore>(
-      total_slots, machine_map,
-      /*maintain_ordered_index=*/true);
+  store_ = std::make_unique<PartitionedStore>(total_slots, machine_map);
   workload_->loader(*store_);
   for (std::size_t m = 0; m < total_slots; ++m) {
     machines_.push_back(std::make_unique<Machine>(
@@ -207,15 +205,13 @@ ClusterRunOutcome LocalCluster::RunTPart() {
 
   const std::chrono::microseconds stall_timeout(options_.stall_timeout_us);
   const LocalClusterOptions::CrashSchedule& crash = options_.crash;
-  const std::vector<LocalClusterOptions::CrashEvent> crash_events =
-      crash.Events();
   // Which machines carry at least one scheduled crash (the machines the
   // end-of-run quiesce loop must see recovered before teardown).
   std::vector<bool> crash_scheduled(machines_.size(), false);
   if (crash.enabled()) {
     TPART_CHECK(options_.record_recovery_logs)
         << "crash recovery replays the §5.4 logs; keep them recorded";
-    for (const LocalClusterOptions::CrashEvent& event : crash_events) {
+    for (const LocalClusterOptions::CrashEvent& event : crash.events) {
       TPART_CHECK(static_cast<std::size_t>(event.machine) < machines_.size())
           << "crash schedule names machine " << event.machine << " of "
           << machines_.size();
@@ -1411,9 +1407,8 @@ Status LocalCluster::RunMembershipStep(std::size_t step_idx,
   std::vector<std::pair<MachineId, std::vector<ObjectKey>>> keys_by_source;
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     std::vector<ObjectKey> keys = machines_[m]->storage().StateKeys();
-    store_->store(static_cast<MachineId>(m)).ForEachKey([&](ObjectKey key) {
-      keys.push_back(key);
-    });
+    store_->store(static_cast<MachineId>(m))
+        .ForEach([&](ObjectKey key, const Record&) { keys.push_back(key); });
     if (!keys.empty()) {
       keys_by_source.emplace_back(static_cast<MachineId>(m), std::move(keys));
     }
@@ -1501,14 +1496,9 @@ std::string ApplySeededChaos(std::uint64_t seed, std::size_t num_machines,
   const SinkEpoch e2 = e1 + 1 + static_cast<SinkEpoch>(rng.NextBelow(third));
   const SinkEpoch e3 = e2 + 1 + static_cast<SinkEpoch>(rng.NextBelow(third));
 
-  options.crash.machine = a;
-  options.crash.at_epoch = e1;
-  options.crash.after_txns = 0;
-  options.crash.at_start = false;
+  options.crash.events = {{a, e1, 0, false}, {b, e2, 0, false},
+                           {a, e3, 0, false}};
   options.crash.recover = true;
-  options.crash.more.clear();
-  options.crash.more.push_back({b, e2, 0, false});
-  options.crash.more.push_back({a, e3, 0, false});
   options.detector.enabled = true;
 
   std::ostringstream out;

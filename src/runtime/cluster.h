@@ -71,6 +71,7 @@ struct LocalClusterOptions {
     /// Third trigger: crash before the executor handles anything at all
     /// (the epoch-0 edge — no sinking round has drained yet).
     bool at_start = false;
+    bool operator==(const CrashEvent&) const = default;
   };
 
   /// Deterministic crash injection: each scheduled machine crash-stops —
@@ -80,13 +81,9 @@ struct LocalClusterOptions {
   /// and reports it. Same seed + same schedule
   /// reproduces the same crashes, replays, and final state.
   struct CrashSchedule {
-    MachineId machine = kInvalidMachine;
-    SinkEpoch at_epoch = 0;
-    std::uint64_t after_txns = 0;
-    bool at_start = false;
-    /// Additional crashes after the first (in firing order). The same
-    /// machine may appear again — a repeat crash after its own recovery.
-    std::vector<CrashEvent> more;
+    /// Worker crashes in firing order. The same machine may appear
+    /// again — a repeat crash after its own recovery.
+    std::vector<CrashEvent> events;
     /// Coordinator (leader) crash-stops, one per entry, fired after the
     /// first shipped round with epoch >= the entry (in order). Requires
     /// coordinator.standbys >= 1; composes freely with the worker events
@@ -107,17 +104,7 @@ struct LocalClusterOptions {
     /// Recover in-run when true; detect-and-report only when false.
     /// Applies to every event in the schedule.
     bool recover = true;
-    bool enabled() const { return machine != kInvalidMachine; }
-    /// The full schedule in firing order (the legacy single-crash fields
-    /// are event zero).
-    std::vector<CrashEvent> Events() const {
-      std::vector<CrashEvent> events;
-      if (enabled()) {
-        events.push_back(CrashEvent{machine, at_epoch, after_txns, at_start});
-        events.insert(events.end(), more.begin(), more.end());
-      }
-      return events;
-    }
+    bool enabled() const { return !events.empty(); }
   };
   CrashSchedule crash;
 

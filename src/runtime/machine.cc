@@ -1192,12 +1192,19 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
       cp.parked_pulls.insert(cp.parked_pulls.end(), reqs.begin(), reqs.end());
     }
   }
+  // The truncated logs move out here and are freed when this function
+  // returns, after the notify below has released the executor; the live
+  // logs keep their capacity, as clear() would.
+  std::vector<RequestLogEntry> truncated_requests;
+  std::vector<Message> truncated_network;
   {
     std::lock_guard<std::mutex> lock(log_mu_);
     cp.truncated_request_entries += request_log_.size();
     cp.truncated_network_messages += network_log_.size();
-    request_log_.clear();
-    network_log_.clear();
+    truncated_requests.swap(request_log_);
+    truncated_network.swap(network_log_);
+    request_log_.reserve(truncated_requests.size());
+    network_log_.reserve(truncated_network.size());
     request_log_bytes_ = 0;
     network_log_bytes_ = 0;
   }

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "cache/cache_area.h"
@@ -65,10 +64,9 @@ struct MachineCheckpoint {
   std::size_t ReloadPartition(KvStore& store) {
     std::vector<ObjectKey> keys;
     keys.reserve(store.size());
-    store.Scan(0, std::numeric_limits<ObjectKey>::max(),
-               [&](ObjectKey key, const Record&) { keys.push_back(key); });
+    store.ForEach([&](ObjectKey key, const Record&) { keys.push_back(key); });
     for (const ObjectKey key : keys) {
-      // Cannot miss: every key came from the Scan() one loop up.
+      // Cannot miss: every key came from the ForEach() one line up.
       (void)store.Delete(key);
     }
     return records.Checkpoint(

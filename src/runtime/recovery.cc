@@ -14,9 +14,8 @@ ReplayResult Replay(const Workload& workload, MachineId id,
                     const std::vector<Message>& network_log,
                     SinkEpoch sticky_ttl) {
   ReplayResult out;
-  out.store = std::make_unique<PartitionedStore>(
-      workload.num_machines, workload.partition_map,
-      /*maintain_ordered_index=*/true);
+  out.store = std::make_unique<PartitionedStore>(workload.num_machines,
+                                                 workload.partition_map);
   workload.loader(*out.store);
   KvStore& store = out.store->store(id);
   if (checkpoint != nullptr) checkpoint->ReloadPartition(store);

@@ -192,15 +192,14 @@ class RingChannel {
       spills_.fetch_add(1, std::memory_order_relaxed);
       spilled = true;
     }
-    count_.fetch_add(1, std::memory_order_acq_rel);
+    // Dekker handshake with the consumer (see WaitPop), in seq_cst
+    // atomics only: bump the count after the enqueue, then read the sleep
+    // flag. The consumer writes the flag, then reads the count. At least
+    // one side sees the other: either we notify, or the consumer's wait
+    // predicate sees the bump and never blocks.
+    count_.fetch_add(1, std::memory_order_seq_cst);
     NoteHighWater();
-    // Dekker handshake with the consumer: order the enqueue above before
-    // the sleep-flag read, as the consumer orders its sleep-flag write
-    // before its final empty-check. At least one side then sees the
-    // other: either we notify, or the consumer's predicate finds the
-    // message and never blocks.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (sleeping_.load(std::memory_order_relaxed)) {
+    if (sleeping_.load(std::memory_order_seq_cst)) {
       // Synchronize on the mutex so the wakeup cannot slip between the
       // consumer's predicate check and its wait, then notify.
       { std::lock_guard<std::mutex> lock(mu_); }
@@ -214,9 +213,7 @@ class RingChannel {
     T out;
     if (TryPopFast(out)) return out;
     std::unique_lock<std::mutex> lock(mu_);
-    MarkSleeping();
-    cv_.wait(lock, [&] { return PopLocked(out); });
-    sleeping_.store(false, std::memory_order_relaxed);
+    (void)WaitPop(lock, out, nullptr);
     return out;
   }
 
@@ -227,17 +224,10 @@ class RingChannel {
     T out;
     if (TryPopFast(out)) return out;
     std::unique_lock<std::mutex> lock(mu_);
-    MarkSleeping();
-    if (timeout.count() <= 0) {
-      cv_.wait(lock, [&] { return PopLocked(out); });
-    } else {
-      const auto deadline = std::chrono::steady_clock::now() + timeout;
-      if (!cv_.wait_until(lock, deadline, [&] { return PopLocked(out); })) {
-        sleeping_.store(false, std::memory_order_relaxed);
-        return Status::Unavailable("channel receive timed out");
-      }
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    if (!WaitPop(lock, out, timeout.count() > 0 ? &deadline : nullptr)) {
+      return Status::Unavailable("channel receive timed out");
     }
-    sleeping_.store(false, std::memory_order_relaxed);
     return out;
   }
 
@@ -308,11 +298,34 @@ class RingChannel {
     return true;
   }
 
-  /// Consumer half of the Dekker handshake (see Send): publish the sleep
-  /// flag before the predicate's final empty-check.
-  void MarkSleeping() {
-    sleeping_.store(true, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+  /// Consumer half of the Dekker handshake (see Send), with mu_ held:
+  /// pops the next message, parking on cv_ until one arrives or
+  /// `deadline` (nullptr = none) passes. The flag is written before each
+  /// count read, and the wait predicate reads only the count: an
+  /// enqueue whose bump precedes the read `seen` is visible to the pop
+  /// after it; a later bump either changes the count the predicate reads
+  /// or finds the flag set and notifies. While the consumer waits, only
+  /// producers move the count, so any change means a new message.
+  /// Returns false on timeout.
+  bool WaitPop(std::unique_lock<std::mutex>& lock, T& out,
+               const std::chrono::steady_clock::time_point* deadline) {
+    sleeping_.store(true, std::memory_order_seq_cst);
+    bool got = true;
+    for (;;) {
+      const std::size_t seen = count_.load(std::memory_order_seq_cst);
+      if (PopLocked(out)) break;
+      const auto bumped = [&] {
+        return count_.load(std::memory_order_seq_cst) != seen;
+      };
+      if (deadline == nullptr) {
+        cv_.wait(lock, bumped);
+      } else if (!cv_.wait_until(lock, *deadline, bumped)) {
+        got = false;
+        break;
+      }
+    }
+    sleeping_.store(false, std::memory_order_relaxed);
+    return got;
   }
 
   void NoteHighWater() {

@@ -3,12 +3,10 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 
 #include "common/flat_map.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "storage/ordered_index.h"
 #include "storage/record.h"
 
 namespace tpart {
@@ -16,19 +14,13 @@ namespace tpart {
 /// Single-machine record store with the CRUD interface T-Part assumes
 /// ("works alongside any storage with the CRUD interface", §1).
 ///
-/// Internally an open-addressing hash primary index (common/flat_map.h —
-/// no per-record heap node, no pointer chase per probe), plus an optional
-/// ordered secondary index (B+-tree) maintained on every mutation so the
-/// workloads can run range scans. Not internally synchronized: each
-/// machine/executor owns its store and accesses it from one thread (the
-/// deterministic execution model guarantees this).
+/// An open-addressing hash index (common/flat_map.h — no per-record heap
+/// node, no pointer chase per probe) plus one full visitor. Not
+/// internally synchronized: each machine/executor owns its store and
+/// accesses it from one thread (the deterministic execution model
+/// guarantees this).
 class KvStore {
  public:
-  /// If `maintain_ordered_index` is true, an ordered index over ObjectKey
-  /// is kept in sync for Scan().
-  explicit KvStore(bool maintain_ordered_index = true)
-      : ordered_(maintain_ordered_index ? new OrderedIndex() : nullptr) {}
-
   /// Inserts a new record. Fails with AlreadyExists when present.
   Status Insert(ObjectKey key, Record record);
 
@@ -38,9 +30,6 @@ class KvStore {
   /// The stored record without a copy, or nullptr; valid until the next
   /// mutation of the store.
   const Record* Find(ObjectKey key) const;
-
-  /// Returns a mutable pointer to the stored record, or nullptr.
-  Record* ReadMutable(ObjectKey key);
 
   /// Overwrites an existing record. Fails with NotFound when absent.
   Status Update(ObjectKey key, Record record);
@@ -56,29 +45,15 @@ class KvStore {
   bool Contains(ObjectKey key) const { return records_.count(key) > 0; }
   std::size_t size() const { return records_.size(); }
 
-  /// Range scan [lo, hi] in key order; invokes `fn(key, record)` for each.
-  /// Requires the ordered index. Returns number of records visited.
-  std::size_t Scan(ObjectKey lo, ObjectKey hi,
-                   const std::function<void(ObjectKey, const Record&)>& fn)
-      const;
-
-  /// Total logical bytes stored (for buffer accounting).
-  std::size_t TotalBytes() const { return total_bytes_; }
-
-  /// Visits every stored key, in no particular order (the caller sorts).
-  /// Control-plane use (migration planning) at a quiesced barrier only —
-  /// the store is not internally synchronized.
-  void ForEachKey(const std::function<void(ObjectKey)>& fn) const {
-    for (const auto& [key, record] : records_) {
-      (void)record;
-      fn(key);
-    }
-  }
+  /// Invokes `fn(key, record)` once per stored record, in no particular
+  /// order (the order depends on the mutation history; callers that
+  /// compare or print sort first). `fn` must not mutate the store.
+  /// Returns the number of records visited.
+  std::size_t ForEach(
+      const std::function<void(ObjectKey, const Record&)>& fn) const;
 
  private:
   FlatMap<ObjectKey, Record> records_;
-  std::unique_ptr<OrderedIndex> ordered_;
-  std::size_t total_bytes_ = 0;
 };
 
 }  // namespace tpart

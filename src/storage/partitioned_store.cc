@@ -6,12 +6,11 @@ namespace tpart {
 
 PartitionedStore::PartitionedStore(
     std::size_t num_machines,
-    std::shared_ptr<const DataPartitionMap> partition_map,
-    bool maintain_ordered_index)
+    std::shared_ptr<const DataPartitionMap> partition_map)
     : partition_map_(std::move(partition_map)) {
   stores_.reserve(num_machines);
   for (std::size_t i = 0; i < num_machines; ++i) {
-    stores_.push_back(std::make_unique<KvStore>(maintain_ordered_index));
+    stores_.push_back(std::make_unique<KvStore>());
   }
 }
 
@@ -41,17 +40,12 @@ std::vector<std::pair<ObjectKey, Record>> PartitionedStore::Snapshot() const {
   std::vector<std::pair<ObjectKey, Record>> out;
   out.reserve(TotalRecords());
   for (const auto& s : stores_) {
-    s->Scan(0, ~ObjectKey{0},
-            [&](ObjectKey key, const Record& rec) { out.emplace_back(key, rec); });
+    s->ForEach(
+        [&](ObjectKey key, const Record& rec) { out.emplace_back(key, rec); });
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
-}
-
-bool PartitionedStore::StateEquals(const PartitionedStore& other) const {
-  if (num_machines() != other.num_machines()) return false;
-  return Snapshot() == other.Snapshot();
 }
 
 }  // namespace tpart

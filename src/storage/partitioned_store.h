@@ -14,12 +14,11 @@ namespace tpart {
 /// A cluster-wide view of storage: one KvStore per machine plus the
 /// DataPartitionMap that routes keys to their home machine. Loaders use it
 /// to place the initial database; the threaded runtime hands each machine
-/// its own partition; tests use it to compare end states across engines.
+/// its own partition; Snapshot() compares end states across engines.
 class PartitionedStore {
  public:
   PartitionedStore(std::size_t num_machines,
-                   std::shared_ptr<const DataPartitionMap> partition_map,
-                   bool maintain_ordered_index = true);
+                   std::shared_ptr<const DataPartitionMap> partition_map);
 
   std::size_t num_machines() const { return stores_.size(); }
 
@@ -50,13 +49,10 @@ class PartitionedStore {
   /// Total records across all machines.
   std::size_t TotalRecords() const;
 
-  /// True iff both stores hold exactly the same key->record mapping,
-  /// machine by machine. Used by determinism tests.
-  bool StateEquals(const PartitionedStore& other) const;
-
   /// Collects all (key, record) pairs across machines into one vector
   /// sorted by key. Used to compare against a serial reference execution
-  /// regardless of the partitioning scheme.
+  /// regardless of the partitioning scheme (two stores hold the same
+  /// state iff their snapshots are equal).
   std::vector<std::pair<ObjectKey, Record>> Snapshot() const;
 
  private:

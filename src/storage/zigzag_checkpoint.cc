@@ -1,6 +1,5 @@
 #include "storage/zigzag_checkpoint.h"
 
-#include <limits>
 #include <mutex>
 
 namespace tpart {
@@ -40,10 +39,8 @@ void ZigZagCheckpointStore::Put(ObjectKey key, Record value) {
 std::size_t ZigZagCheckpointStore::Load(const KvStore& source) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   index_.reserve(index_.size() + source.size());
-  return source.Scan(0, std::numeric_limits<ObjectKey>::max(),
-                     [&](ObjectKey key, const Record& value) {
-                       PutLocked(key, value);
-                     });
+  return source.ForEach(
+      [&](ObjectKey key, const Record& value) { PutLocked(key, value); });
 }
 
 Record ZigZagCheckpointStore::Get(ObjectKey key) const {

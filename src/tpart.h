@@ -14,10 +14,8 @@
 
 #include "storage/data_partition.h"      // IWYU pragma: export
 #include "storage/kv_store.h"            // IWYU pragma: export
-#include "storage/ordered_index.h"       // IWYU pragma: export
 #include "storage/partitioned_store.h"   // IWYU pragma: export
 #include "storage/record.h"              // IWYU pragma: export
-#include "storage/table.h"               // IWYU pragma: export
 #include "storage/zigzag_checkpoint.h"   // IWYU pragma: export
 
 #include "txn/procedure.h"  // IWYU pragma: export
@@ -41,7 +39,6 @@
 #include "scheduler/tpart_scheduler.h"  // IWYU pragma: export
 
 #include "cache/cache_area.h"      // IWYU pragma: export
-#include "exec/lock_table.h"       // IWYU pragma: export
 #include "exec/serial_executor.h"  // IWYU pragma: export
 
 #include "runtime/cluster.h"   // IWYU pragma: export

@@ -77,11 +77,6 @@ Workload MakeMicroWorkload(const MicroOptions& o) {
   Workload w;
   w.name = "micro";
   w.num_machines = o.num_machines;
-  TableDef table;
-  table.name = "MICRO";
-  table.num_fields = 2;
-  table.padding_bytes = o.record_bytes > 16 ? o.record_bytes - 16 : 0;
-  w.catalog.AddTable(table);
   w.partition_map = std::make_shared<RangePartitionMap>(
       o.num_machines, o.records_per_machine);
 

@@ -33,7 +33,7 @@ struct MicroOptions {
   std::uint64_t seed = 1;
 };
 
-/// Builds the workload (schema, loader, procedure, trace).
+/// Builds the workload (loader, procedure, trace).
 Workload MakeMicroWorkload(const MicroOptions& options);
 
 /// Procedure id used by the Microbenchmark.

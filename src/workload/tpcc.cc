@@ -306,14 +306,6 @@ Workload MakeTpccWorkload(const TpccOptions& o) {
   Workload w;
   w.name = "tpcc";
   w.num_machines = o.num_machines;
-  w.catalog.AddTable({0, "WAREHOUSE", 1, 80});
-  w.catalog.AddTable({0, "DISTRICT", 2, 88});
-  w.catalog.AddTable({0, "CUSTOMER", 3, 640});
-  w.catalog.AddTable({0, "STOCK", 4, 300});
-  w.catalog.AddTable({0, "ORDER", 3, 24});
-  w.catalog.AddTable({0, "NEW_ORDER", 1, 8});
-  w.catalog.AddTable({0, "ORDER_LINE", 4, 50});
-  w.catalog.AddTable({0, "HISTORY", 1, 46});
   w.partition_map = std::make_shared<TpccPartitionMap>(o.num_machines);
 
   w.procedures = std::make_shared<ProcedureRegistry>();

@@ -54,7 +54,7 @@ inline constexpr ProcId kTpccDelivery = 202;
 inline constexpr ProcId kTpccOrderStatus = 203;
 inline constexpr ProcId kTpccStockLevel = 204;
 
-/// TPC-C table ids (registration order in the catalog).
+/// TPC-C table ids (the high bits of each ObjectKey).
 enum TpccTable : TableId {
   kTpccWarehouse = 0,
   kTpccDistrict = 1,

@@ -139,14 +139,6 @@ Workload MakeTpceWorkload(const TpceOptions& o) {
   Workload w;
   w.name = "tpce";
   w.num_machines = o.num_machines;
-  w.catalog.AddTable({0, "CUSTOMER", 1, 300});
-  w.catalog.AddTable({0, "ACCOUNT", 2, 120});
-  w.catalog.AddTable({0, "BROKER", 2, 150});
-  w.catalog.AddTable({0, "SECURITY", 1, 180});
-  w.catalog.AddTable({0, "LAST_TRADE", 2, 30});
-  w.catalog.AddTable({0, "TRADE", 5, 140});
-  w.catalog.AddTable({0, "TRADE_HISTORY", 2, 20});
-  w.catalog.AddTable({0, "HOLDING_SUMMARY", 1, 16});
   // "We partition each table horizontally based on the hash value of the
   // primary key of each record" (§6.1.2).
   w.partition_map = std::make_shared<HashPartitionMap>(o.num_machines);

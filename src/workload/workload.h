@@ -9,7 +9,6 @@
 
 #include "storage/data_partition.h"
 #include "storage/partitioned_store.h"
-#include "storage/table.h"
 #include "txn/procedure.h"
 #include "txn/txn.h"
 
@@ -25,7 +24,7 @@ class RequestSource {
   virtual std::optional<TxnSpec> Next() = 0;
 };
 
-/// A generated workload: schema, initial data loader, stored procedures,
+/// A generated workload: initial data loader, stored procedures,
 /// data-partition map, and a totally ordered transaction trace. All four
 /// engines (serial reference, Calvin sim, T-Part sim, threaded runtime)
 /// consume the same Workload, which is what makes cross-engine
@@ -33,7 +32,6 @@ class RequestSource {
 struct Workload {
   std::string name;
   std::size_t num_machines = 0;
-  Catalog catalog;
   std::shared_ptr<const DataPartitionMap> partition_map;
   std::shared_ptr<ProcedureRegistry> procedures;
   /// Populates the initial database (per-machine stores routed by

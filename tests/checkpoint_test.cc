@@ -114,8 +114,7 @@ TEST(CheckpointTest, ApplyDirtyFoldsUpsertsAndDeletes) {
   source.Upsert(3, Record{30});
 
   ZigZagCheckpointStore image;
-  source.Scan(0, 100,
-              [&](ObjectKey k, const Record& v) { image.Put(k, v); });
+  source.ForEach([&](ObjectKey k, const Record& v) { image.Put(k, v); });
 
   // Mutate the source: overwrite, insert, delete.
   source.Upsert(2, Record{21});
@@ -129,7 +128,7 @@ TEST(CheckpointTest, ApplyDirtyFoldsUpsertsAndDeletes) {
     from_image.emplace_back(k, v);
   });
   std::vector<std::pair<ObjectKey, Record>> from_source;
-  source.Scan(0, 100, [&](ObjectKey k, const Record& v) {
+  source.ForEach([&](ObjectKey k, const Record& v) {
     from_source.emplace_back(k, v);
   });
   std::sort(from_image.begin(), from_image.end(),
@@ -243,8 +242,8 @@ TEST(CheckpointTest, CrashWithCheckpointReplaysOnlySuffix) {
 
   auto crash_opts = [&](SinkEpoch every) {
     LocalClusterOptions opts = StreamingOpts(TransportKind::kDirect);
-    opts.crash.machine = 1;
-    opts.crash.at_epoch = 12;  // late crash: a long prefix to not replay
+    // Late crash: a long prefix to not replay.
+    opts.crash.events = {{1, 12}};
     opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
     opts.detector.deadline_us = test::ScaledUs(100000);
     opts.checkpoint_every = every;
@@ -269,8 +268,7 @@ TEST(CheckpointTest, CrashWithCheckpointReplaysOnlySuffix) {
 TEST(CheckpointTest, CheckpointedCrashRunIsDeterministic) {
   const Workload w = MakeMicroWorkload(SmallMicro());
   LocalClusterOptions opts = StreamingOpts(TransportKind::kInProcess);
-  opts.crash.machine = 2;
-  opts.crash.at_epoch = 9;
+  opts.crash.events = {{2, 9}};
   opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
   opts.detector.deadline_us = test::ScaledUs(100000);
   opts.checkpoint_every = 3;

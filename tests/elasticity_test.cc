@@ -184,8 +184,7 @@ TEST(ElasticityTest, CrashDuringMigrationWindowOnSource) {
   // out detection + §5.4 recovery, then still move machine 1's keys.
   LocalClusterOptions opts =
       ResizeOpts(TransportKind::kInProcess, {{4, +1}});
-  opts.crash.machine = 1;
-  opts.crash.at_epoch = 4;
+  opts.crash.events = {{1, 4}};
   opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
   opts.detector.deadline_us = test::ScaledUs(100000);
   const RunSnapshot got = RunOnce(w, opts);
@@ -208,8 +207,7 @@ TEST(ElasticityTest, CrashOnGrownMachineAfterInstall) {
   // it, replay would rebuild an empty partition.
   LocalClusterOptions opts =
       ResizeOpts(TransportKind::kInProcess, {{4, +1}});
-  opts.crash.machine = 2;
-  opts.crash.at_epoch = 5;
+  opts.crash.events = {{2, 5}};
   opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
   opts.detector.deadline_us = test::ScaledUs(100000);
   const RunSnapshot got = RunOnce(w, opts);

@@ -181,8 +181,7 @@ TEST(FailoverTest, ComposedWithWorkerCrashAndNetFaults) {
     // rebuilds the worker from its logs while the standby rebuilds the
     // coordinator from the committed request log.
     LocalClusterOptions opts = FailoverOpts(c.kind, 5);
-    opts.crash.machine = 1;
-    opts.crash.at_epoch = 5;
+    opts.crash.events = {{1, 5}};
     opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
     opts.detector.deadline_us = test::ScaledUs(100000);
     if (c.network_faults) AddNetFaults(opts);
@@ -240,12 +239,10 @@ TEST(FailoverTest, SeededChaosAddsCoordinatorEventOnlyWithStandbys) {
   EXPECT_NE(s1.find("seq@e"), std::string::npos) << s1;
   // Drawn after every worker event: the worker schedule for a fixed seed
   // is independent of the standby count.
-  EXPECT_EQ(with.crash.machine, without.crash.machine);
-  EXPECT_EQ(with.crash.at_epoch, without.crash.at_epoch);
-  ASSERT_EQ(with.crash.more.size(), without.crash.more.size());
+  EXPECT_EQ(with.crash.events, without.crash.events);
   EXPECT_EQ(with.straggler.machine, without.straggler.machine);
   // The leader dies strictly inside the run, after the first crash arms.
-  EXPECT_GT(with.crash.coordinator_at[0], with.crash.at_epoch);
+  EXPECT_GT(with.crash.coordinator_at[0], with.crash.events[0].at_epoch);
 }
 
 TEST(FailoverTest, SeededChaosMatrixWithCoordinatorEventMatchesReference) {
@@ -415,8 +412,7 @@ TEST(FailoverTest, ZombieRevivalComposedWithWorkerCrashAndNetFaults) {
 
   LocalClusterOptions opts = FailoverOpts(TransportKind::kInProcess, 5);
   opts.crash.coordinator_revive_at = {8};
-  opts.crash.machine = 1;
-  opts.crash.at_epoch = 5;
+  opts.crash.events = {{1, 5}};
   opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
   opts.detector.deadline_us = test::ScaledUs(100000);
   AddNetFaults(opts);

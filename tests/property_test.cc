@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -183,8 +182,7 @@ TEST_P(CheckpointReplayProperty, SuffixReplayMatchesFullLogReplay) {
 
   auto partition_state = [](PartitionedStore& store, MachineId m) {
     std::vector<std::pair<ObjectKey, Record>> state;
-    store.store(m).Scan(
-        0, std::numeric_limits<ObjectKey>::max(),
+    store.store(m).ForEach(
         [&](ObjectKey k, const Record& v) { state.emplace_back(k, v); });
     std::sort(state.begin(), state.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -296,8 +294,7 @@ TEST_P(ChaosTransportReplayProperty, TcpChaosRunMatchesCleanDirectRun) {
 
   auto partition_state = [](PartitionedStore& store, MachineId m) {
     std::vector<std::pair<ObjectKey, Record>> state;
-    store.store(m).Scan(
-        0, std::numeric_limits<ObjectKey>::max(),
+    store.store(m).ForEach(
         [&](ObjectKey k, const Record& v) { state.emplace_back(k, v); });
     std::sort(state.begin(), state.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });

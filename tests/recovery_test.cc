@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "runtime/cluster.h"
 #include "runtime/recovery.h"
 #include "workload/micro.h"
@@ -11,6 +15,16 @@
 
 namespace tpart {
 namespace {
+
+/// One partition's records in key order (ForEach visits in hash order,
+/// which depends on the store's mutation history).
+std::vector<std::pair<ObjectKey, Record>> SortedState(const KvStore& store) {
+  std::vector<std::pair<ObjectKey, Record>> out;
+  store.ForEach([&](ObjectKey k, const Record& r) { out.emplace_back(k, r); });
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
 
 LocalClusterOptions Opts(std::size_t sink = 15) {
   LocalClusterOptions o;
@@ -30,21 +44,8 @@ void CheckReplayRebuildsPartition(const Workload& w,
                       opts.sticky_ttl);
 
     // The replayed partition matches the pre-crash partition.
-    auto live_snapshot = [&] {
-      std::vector<std::pair<ObjectKey, Record>> out;
-      cluster.store().store(m).Scan(
-          0, ~ObjectKey{0},
-          [&](ObjectKey k, const Record& r) { out.emplace_back(k, r); });
-      return out;
-    }();
-    auto replay_snapshot = [&] {
-      std::vector<std::pair<ObjectKey, Record>> out;
-      replayed.store->store(m).Scan(
-          0, ~ObjectKey{0},
-          [&](ObjectKey k, const Record& r) { out.emplace_back(k, r); });
-      return out;
-    }();
-    EXPECT_EQ(replay_snapshot, live_snapshot)
+    EXPECT_EQ(SortedState(replayed.store->store(m)),
+              SortedState(cluster.store().store(m)))
         << "machine " << m << " replay diverged";
 
     // Replayed transaction results match the live run's results for the

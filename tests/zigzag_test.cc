@@ -92,8 +92,7 @@ TEST(ZigZagTest, LoadAndApplyDirtyMatchTheSourceAcrossSlotChunks) {
   EXPECT_EQ(store.Load(source), 3000u);
   const auto expect_same = [&] {
     std::map<ObjectKey, Record> want;
-    source.Scan(0, 1u << 20,
-                [&](ObjectKey k, const Record& r) { want.emplace(k, r); });
+    source.ForEach([&](ObjectKey k, const Record& r) { want.emplace(k, r); });
     std::map<ObjectKey, Record> got;
     store.Checkpoint([&](ObjectKey k, const Record& r) {
       EXPECT_TRUE(got.emplace(k, r).second);
