@@ -6,7 +6,10 @@
 //
 // Flags:
 //   --workload=micro|tpcc|tpce      (default micro)
-//   --engine=calvin|tpart|both      (default both)
+//   --engine=calvin|tpart|both      (default both; the Calvin baseline
+//                                   runs in the simulator only, so
+//                                   --runtime with calvin exits 2 and
+//                                   with both runs T-Part)
 //   --machines=N                    (default 4)
 //   --txns=N                        (default 5000)
 //   --sink=N                        sink size (default 100)
@@ -242,6 +245,16 @@ int main(int argc, char** argv) {
   const std::string serve_metrics = StringFlag(argc, argv, "serve-metrics", "");
   const std::uint64_t txn_sample = StrideFlag(argc, argv, "txn-sample", 0);
   const std::string flight_path = StringFlag(argc, argv, "flight-recorder", "");
+  if (engine != "calvin" && engine != "tpart" && engine != "both") {
+    std::fprintf(stderr, "--engine must be calvin, tpart or both\n");
+    return 2;
+  }
+  if (use_runtime && engine == "calvin") {
+    std::fprintf(stderr,
+                 "--engine=calvin runs in the simulator only; drop "
+                 "--runtime\n");
+    return 2;
+  }
 
   // One recorder. --trace keeps every event (the simulator's on virtual
   // time, so same-seed traces are diffable); runtime runs without it
@@ -516,70 +529,59 @@ int main(int argc, char** argv) {
     }
     opts.txn_sample = txn_sample;
     LocalCluster cluster(&w, opts);
-    if (engine == "calvin" || engine == "both") {
-      const ClusterRunOutcome out = cluster.RunCalvin();
-      std::printf("calvin (runtime): committed=%llu aborted=%llu\n",
-                  static_cast<unsigned long long>(out.committed),
-                  static_cast<unsigned long long>(out.aborted));
-      if (out.transport.messages_sent > 0) {
-        std::printf("  transport: %s\n", out.transport.Summary().c_str());
-      }
+    const ClusterRunOutcome out = cluster.RunTPart();
+    registry.SetCounter("tpart_committed_total",
+                        static_cast<double>(out.committed),
+                        "Transactions committed");
+    registry.SetCounter("tpart_aborted_total",
+                        static_cast<double>(out.aborted),
+                        "Transactions aborted");
+    if (out.transport.messages_sent > 0) out.transport.PublishTo(registry);
+    out.pipeline.PublishTo(registry);
+    if (out.recovery.crashes_injected > 0) {
+      out.recovery.PublishTo(registry);
     }
-    if (engine == "tpart" || engine == "both") {
-      const ClusterRunOutcome out = cluster.RunTPart();
-      registry.SetCounter("tpart_committed_total",
-                          static_cast<double>(out.committed),
-                          "Transactions committed");
-      registry.SetCounter("tpart_aborted_total",
-                          static_cast<double>(out.aborted),
-                          "Transactions aborted");
-      if (out.transport.messages_sent > 0) out.transport.PublishTo(registry);
-      out.pipeline.PublishTo(registry);
-      if (out.recovery.crashes_injected > 0) {
-        out.recovery.PublishTo(registry);
-      }
-      if (out.checkpoint.checkpoints_taken > 0) {
-        out.checkpoint.PublishTo(registry);
-      }
-      if (out.migration.membership_steps > 0) {
-        out.migration.PublishTo(registry);
-      }
-      if (out.failover.log_appends > 0 ||
-          out.failover.coordinator_crashes > 0) {
-        out.failover.PublishTo(registry);
-      }
-      std::printf("tpart  (runtime): committed=%llu aborted=%llu\n",
-                  static_cast<unsigned long long>(out.committed),
-                  static_cast<unsigned long long>(out.aborted));
-      if (out.transport.messages_sent > 0) {
-        std::printf("  transport: %s\n", out.transport.Summary().c_str());
-      }
-      const PipelineStats& p = out.pipeline;
-      std::printf("  pipeline: %s\n", p.Summary().c_str());
-      std::printf("  admission->commit latency: p50=%llu us p99=%llu us "
-                  "(%zu samples)\n",
-                  static_cast<unsigned long long>(
-                      p.admit_to_commit_us.Quantile(0.5)),
-                  static_cast<unsigned long long>(
-                      p.admit_to_commit_us.Quantile(0.99)),
-                  p.admit_to_commit_us.count());
-      if (!out.fault.ok()) {
-        std::printf("  fault: %s\n", out.fault.ToString().c_str());
-        return finish(1);
-      }
-      if (out.recovery.crashes_injected > 0) {
-        std::printf("  recovery: %s\n", out.recovery.Summary().c_str());
-      }
-      if (out.checkpoint.checkpoints_taken > 0) {
-        std::printf("  checkpoint: %s\n", out.checkpoint.Summary().c_str());
-      }
-      if (out.migration.membership_steps > 0) {
-        std::printf("  migration: %s\n", out.migration.Summary().c_str());
-      }
-      if (out.failover.log_appends > 0 ||
-          out.failover.coordinator_crashes > 0) {
-        std::printf("  failover: %s\n", out.failover.Summary().c_str());
-      }
+    if (out.checkpoint.checkpoints_taken > 0) {
+      out.checkpoint.PublishTo(registry);
+    }
+    if (out.migration.membership_steps > 0) {
+      out.migration.PublishTo(registry);
+    }
+    if (out.failover.log_appends > 0 ||
+        out.failover.coordinator_crashes > 0) {
+      out.failover.PublishTo(registry);
+    }
+    std::printf("tpart  (runtime): committed=%llu aborted=%llu\n",
+                static_cast<unsigned long long>(out.committed),
+                static_cast<unsigned long long>(out.aborted));
+    if (out.transport.messages_sent > 0) {
+      std::printf("  transport: %s\n", out.transport.Summary().c_str());
+    }
+    const PipelineStats& p = out.pipeline;
+    std::printf("  pipeline: %s\n", p.Summary().c_str());
+    std::printf("  admission->commit latency: p50=%llu us p99=%llu us "
+                "(%zu samples)\n",
+                static_cast<unsigned long long>(
+                    p.admit_to_commit_us.Quantile(0.5)),
+                static_cast<unsigned long long>(
+                    p.admit_to_commit_us.Quantile(0.99)),
+                p.admit_to_commit_us.count());
+    if (!out.fault.ok()) {
+      std::printf("  fault: %s\n", out.fault.ToString().c_str());
+      return finish(1);
+    }
+    if (out.recovery.crashes_injected > 0) {
+      std::printf("  recovery: %s\n", out.recovery.Summary().c_str());
+    }
+    if (out.checkpoint.checkpoints_taken > 0) {
+      std::printf("  checkpoint: %s\n", out.checkpoint.Summary().c_str());
+    }
+    if (out.migration.membership_steps > 0) {
+      std::printf("  migration: %s\n", out.migration.Summary().c_str());
+    }
+    if (out.failover.log_appends > 0 ||
+        out.failover.coordinator_crashes > 0) {
+      std::printf("  failover: %s\n", out.failover.Summary().c_str());
     }
     return finish(0);
   }

@@ -80,36 +80,6 @@ std::optional<Record> CacheArea::TryEpochEntry(ObjectKey key, TxnId version,
   return out;
 }
 
-void CacheArea::PutSticky(ObjectKey key, TxnId version, Record value,
-                          SinkEpoch expire_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sticky_[key] = StickyEntry{std::move(value), version, expire_epoch};
-}
-
-std::optional<Record> CacheArea::ReadSticky(ObjectKey key,
-                                            TxnId expected_version,
-                                            SinkEpoch now_epoch) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sticky_.find(key);
-  if (it == sticky_.end()) return std::nullopt;
-  const StickyEntry& e = it->second;
-  if (e.version != expected_version || e.expire_epoch < now_epoch) {
-    return std::nullopt;
-  }
-  ++sticky_hits_;
-  return e.value;
-}
-
-void CacheArea::EvictExpiredSticky(SinkEpoch now_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // FlatMap::erase shifts elements, so collect first, then erase.
-  std::vector<ObjectKey> expired;
-  for (const auto& [key, e] : sticky_) {
-    if (e.expire_epoch < now_epoch) expired.push_back(key);
-  }
-  for (const ObjectKey key : expired) sticky_.erase(key);
-}
-
 void CacheArea::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -123,7 +93,6 @@ void CacheArea::Reset() {
     std::lock_guard<std::mutex> lock(mu_);
     versions_.clear();
     epochs_.clear();
-    sticky_.clear();
     shutdown_ = false;
   }
   cv_.notify_all();
@@ -142,11 +111,6 @@ CacheArea::Image CacheArea::Capture() const {
     image.epochs.push_back(Image::EpochEntryImage{
         k.first, k.second, e.value, e.epoch, e.reads_served, e.total_reads});
   }
-  image.sticky.reserve(sticky_.size());
-  for (const auto& [key, e] : sticky_) {
-    image.sticky.push_back(
-        Image::StickyImage{key, e.value, e.version, e.expire_epoch});
-  }
   // The hash tables iterate in table order; sort so the image (and any
   // checkpoint bytes derived from it) stays key-ordered and deterministic.
   std::sort(image.versions.begin(), image.versions.end(),
@@ -160,10 +124,6 @@ CacheArea::Image CacheArea::Capture() const {
                const Image::EpochEntryImage& b) {
               return std::tie(a.key, a.version) < std::tie(b.key, b.version);
             });
-  std::sort(image.sticky.begin(), image.sticky.end(),
-            [](const Image::StickyImage& a, const Image::StickyImage& b) {
-              return a.key < b.key;
-            });
   return image;
 }
 
@@ -172,7 +132,6 @@ void CacheArea::Restore(const Image& image) {
     std::lock_guard<std::mutex> lock(mu_);
     versions_.clear();
     epochs_.clear();
-    sticky_.clear();
     for (const auto& v : image.versions) {
       versions_[{v.key, v.version, v.dst}] = v.value;
     }
@@ -183,30 +142,10 @@ void CacheArea::Restore(const Image& image) {
       entry.reads_served = e.reads_served;
       entry.total_reads = e.total_reads;
     }
-    for (const auto& s : image.sticky) {
-      sticky_[s.key] = StickyEntry{s.value, s.version, s.expire_epoch};
-    }
     shutdown_ = false;
     NotePeakLocked();
   }
   cv_.notify_all();
-}
-
-std::optional<CacheArea::Image::StickyImage> CacheArea::ExtractSticky(
-    ObjectKey key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sticky_.find(key);
-  if (it == sticky_.end()) return std::nullopt;
-  Image::StickyImage out{key, it->second.value, it->second.version,
-                         it->second.expire_epoch};
-  sticky_.erase(it);
-  return out;
-}
-
-void CacheArea::InstallSticky(const Image::StickyImage& entry) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sticky_[entry.key] = StickyEntry{entry.value, entry.version,
-                                   entry.expire_epoch};
 }
 
 std::size_t CacheArea::num_version_entries() const {
@@ -217,11 +156,6 @@ std::size_t CacheArea::num_version_entries() const {
 std::size_t CacheArea::num_epoch_entries() const {
   std::lock_guard<std::mutex> lock(mu_);
   return epochs_.size();
-}
-
-std::size_t CacheArea::num_sticky_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sticky_.size();
 }
 
 }  // namespace tpart

@@ -18,16 +18,16 @@ namespace tpart {
 /// the buffer manager of the storage engine" to hold objects written by
 /// earlier local transactions or pushed from remote machines.
 ///
-/// Three entry families, exactly as §5.2 describes:
+/// Two of §5.2's entry families live here:
 ///  * version entries <obj, source txn, destination txn> — one per
 ///    forward-push / local hand-off, read exactly once and invalidated by
 ///    that read;
 ///  * epoch entries <obj, sink#> (here additionally tagged with the
 ///    version txn) — published for transactions sunk in later rounds,
-///    freed after all planned reads have been served;
-///  * sticky entries <obj> — clean copies retained after a write-back for
-///    a bounded number of sinking rounds, serving "immediate storage reads
-///    after write" cheaply.
+///    freed after all planned reads have been served.
+/// The third, sticky entries serving "immediate storage reads after
+/// write", is kept at the record's home by StorageService (has_sticky /
+/// sticky_expire per key).
 ///
 /// Internally synchronized: local executor threads and the network
 /// receiver both touch it, and readers block until the wanted version
@@ -65,30 +65,17 @@ class CacheArea {
                                       bool invalidate,
                                       std::uint32_t total_reads);
 
-  /// Inserts/refreshes a sticky entry for `key` (§5.2), valid through
-  /// sinking round `expire_epoch`.
-  void PutSticky(ObjectKey key, TxnId version, Record value,
-                 SinkEpoch expire_epoch);
-
-  /// Returns the sticky value when present, version-matched, and not
-  /// expired relative to `now_epoch`.
-  std::optional<Record> ReadSticky(ObjectKey key, TxnId expected_version,
-                                   SinkEpoch now_epoch) const;
-
-  /// Drops sticky entries expired at `now_epoch`.
-  void EvictExpiredSticky(SinkEpoch now_epoch);
-
   /// Releases every blocked reader (they observe nullopt). Used on
   /// machine shutdown / simulated failure.
   void Shutdown();
 
   /// Crash-recovery wipe: drops all entries (a crash loses the volatile
-  /// cache area) and re-opens the cache after a Shutdown(). Cumulative
-  /// counters (sticky hits, peak) are deliberately kept.
+  /// cache area) and re-opens the cache after a Shutdown(). The peak
+  /// counter is deliberately kept.
   void Reset();
 
-  /// Checkpoint image of the cache: every live version, epoch, and sticky
-  /// entry, in deterministic (key-sorted) order. Captured at a quiescent
+  /// Checkpoint image of the cache: every live version and epoch entry,
+  /// in deterministic (key-sorted) order. Captured at a quiescent
   /// epoch boundary so a truncated-log replay can resume with exactly the
   /// entries the suffix expects to find.
   struct Image {
@@ -106,15 +93,8 @@ class CacheArea {
       std::uint32_t reads_served;
       std::uint32_t total_reads;
     };
-    struct StickyImage {
-      ObjectKey key;
-      Record value;
-      TxnId version;
-      SinkEpoch expire_epoch;
-    };
     std::vector<VersionEntryImage> versions;
     std::vector<EpochEntryImage> epochs;
-    std::vector<StickyImage> sticky;
   };
 
   /// Copies the full live state into an Image (caller must ensure no
@@ -123,22 +103,12 @@ class CacheArea {
   Image Capture() const;
 
   /// Replaces the cache contents with `image` and re-opens the cache.
-  /// Cumulative counters are kept, mirroring Reset().
+  /// The peak counter is kept, mirroring Reset().
   void Restore(const Image& image);
-
-  /// Removes and returns the sticky entry for `key`, if any (elastic
-  /// migration source side: the sticky copy follows the record to its new
-  /// home so post-cut immediate-reads-after-write still hit).
-  std::optional<Image::StickyImage> ExtractSticky(ObjectKey key);
-
-  /// Installs a migrated sticky entry (elastic migration target side).
-  void InstallSticky(const Image::StickyImage& entry);
 
   // --- Introspection ---------------------------------------------------
   std::size_t num_version_entries() const;
   std::size_t num_epoch_entries() const;
-  std::size_t num_sticky_entries() const;
-  std::uint64_t sticky_hits() const { return sticky_hits_; }
   /// High-water mark of live (version + epoch) entries; the §5.2 claim is
   /// that this stays proportional to the assigned working set.
   std::size_t peak_entries() const { return peak_entries_; }
@@ -150,11 +120,6 @@ class CacheArea {
     std::uint32_t reads_served = 0;
     // 0 until the invalidating read announces the total.
     std::uint32_t total_reads = 0;
-  };
-  struct StickyEntry {
-    Record value;
-    TxnId version = kInvalidTxnId;
-    SinkEpoch expire_epoch = 0;
   };
 
   void NotePeakLocked() {
@@ -172,10 +137,8 @@ class CacheArea {
   // ordered maps used to provide.
   FlatMap<std::tuple<ObjectKey, TxnId, TxnId>, Record> versions_;
   FlatMap<std::pair<ObjectKey, TxnId>, EpochEntry> epochs_;
-  FlatMap<ObjectKey, StickyEntry> sticky_;
 
   std::size_t peak_entries_ = 0;
-  mutable std::uint64_t sticky_hits_ = 0;
 };
 
 }  // namespace tpart

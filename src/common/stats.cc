@@ -46,13 +46,27 @@ void RunningStat::Merge(const RunningStat& other) {
 }
 
 namespace {
+// Values below 16 index themselves. A value v in octave k >= 4 (2^k <= v
+// < 2^(k+1)) lands in sub-bucket (v >> (k-4)) & 15 of that octave.
 int BucketIndex(std::uint64_t value) {
-  if (value == 0) return 0;
-  return std::min(63, 64 - std::countl_zero(value));
+  if (value < 16) return static_cast<int>(value);
+  const int k = 63 - std::countl_zero(value);
+  const int sub = static_cast<int>((value >> (k - 4)) & 15);
+  return 16 + (k - 4) * 16 + sub;
 }
 }  // namespace
 
 Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
+
+std::uint64_t Histogram::BucketUpperBound(int i) {
+  if (i < 16) return static_cast<std::uint64_t>(i);
+  const int shift = (i - 16) / 16;  // octave k = shift + 4
+  const auto sub = static_cast<std::uint64_t>((i - 16) % 16);
+  const std::uint64_t lower = (16 + sub) << shift;
+  // lower + width - 1, written so the top bucket ends at 2^64 - 1
+  // without overflowing.
+  return lower + ((std::uint64_t{1} << shift) - 1);
+}
 
 void Histogram::Add(std::uint64_t value) {
   buckets_[static_cast<std::size_t>(BucketIndex(value))]++;
@@ -73,10 +87,7 @@ std::uint64_t Histogram::Quantile(double q) const {
   std::uint64_t seen = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
     seen += buckets_[static_cast<std::size_t>(i)];
-    if (seen > target) {
-      // Upper bound of bucket i.
-      return i == 0 ? 0 : (std::uint64_t{1} << i) - 1;
-    }
+    if (seen > target) return std::min(BucketUpperBound(i), max_);
   }
   return max_;
 }

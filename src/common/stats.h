@@ -34,12 +34,14 @@ class RunningStat {
   double sum_ = 0.0;
 };
 
-/// Fixed-bucket histogram with exponentially growing bucket bounds,
-/// suitable for latency distributions spanning several orders of magnitude.
+/// Fixed-bucket log-linear (HDR-style) histogram for latency
+/// distributions spanning several orders of magnitude: values below 16
+/// are counted exactly, and every octave [2^k, 2^(k+1)) above that is
+/// split into 16 equal sub-buckets, so a bucket's width is at most 1/16
+/// of any value in it. Covers the full uint64 range in the caller's unit
+/// (typically microseconds).
 class Histogram {
  public:
-  /// Buckets: [0,1), [1,2), [2,4), [4,8), ... up to 2^62 and an overflow
-  /// bucket, in the caller's unit (typically microseconds).
   Histogram();
 
   void Add(std::uint64_t value);
@@ -48,25 +50,27 @@ class Histogram {
   double sum() const { return sum_; }
   std::uint64_t max_value() const { return max_; }
 
-  /// Value at quantile q in [0,1], approximated by the bucket upper bound.
+  /// Value at quantile q in [0,1]: the sample of rank floor(q*(n-1)),
+  /// approximated by min(its bucket's upper bound, max_value()) — never
+  /// below the exact value and within 1/16 above it.
   std::uint64_t Quantile(double q) const;
 
   /// Bucket introspection, for exporters (Prometheus cumulative buckets).
-  /// Bucket 0 holds {0}; bucket i>0 holds [2^(i-1), 2^i - 1]; the last
-  /// bucket is the overflow.
+  /// Buckets ascend: i < 16 holds exactly {i}; above that, each octave
+  /// contributes 16 consecutive buckets.
   static constexpr int num_buckets() { return kNumBuckets; }
   std::uint64_t bucket_count(int i) const {
     return buckets_[static_cast<std::size_t>(i)];
   }
-  static std::uint64_t BucketUpperBound(int i) {
-    return i == 0 ? 0 : (std::uint64_t{1} << i) - 1;
-  }
+  /// Largest value counted in bucket i.
+  static std::uint64_t BucketUpperBound(int i);
 
   /// Merges another histogram into this one.
   void Merge(const Histogram& other);
 
  private:
-  static constexpr int kNumBuckets = 64;
+  /// Exact buckets [0, 16), then 16 per octave for k = 4..63.
+  static constexpr int kNumBuckets = 16 + 60 * 16;
   std::vector<std::uint64_t> buckets_;
   std::size_t count_ = 0;
   double sum_ = 0.0;

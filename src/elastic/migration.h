@@ -50,9 +50,9 @@ void FillHotKeyOverrides(
 
 /// Per-key migration state: the record (if present in the store) plus the
 /// storage-service version discipline (current tag, reads served toward
-/// the next write-back's gate, sticky flags) and any sticky cache entry.
-/// Keys the run never touched have default state on both sides and are
-/// shipped with just their record.
+/// the next write-back's gate, sticky flags). Keys the run never touched
+/// have default state on both sides and are shipped with just their
+/// record.
 struct PartitionImage {
   struct KeyEntry {
     ObjectKey key = 0;
@@ -64,16 +64,13 @@ struct PartitionImage {
     std::uint32_t reads_served_since_wb = 0;
     bool has_sticky = false;
     SinkEpoch sticky_expire = 0;
-    /// CacheArea sticky entry (if the key has one).
-    bool has_cache_sticky = false;
-    Record cache_sticky_value = Record::Absent();
-    TxnId cache_sticky_version = kInvalidTxnId;
-    SinkEpoch cache_sticky_expire = 0;
   };
   std::vector<KeyEntry> entries;
 };
 
 std::string EncodePartitionImage(const PartitionImage& image);
+/// Rejects (InvalidArgument) truncated input, an entry count larger than
+/// the payload, trailing bytes, and any flag bit the encoder does not set.
 Result<PartitionImage> DecodePartitionImage(std::string_view bytes);
 
 /// Moved-key list carried in kMigrateBegin's plan_bytes.

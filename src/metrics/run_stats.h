@@ -64,7 +64,7 @@ struct TransportStats {
 
 /// Counters for the streaming execution pipeline (admission → scheduler →
 /// dissemination → execution as concurrent bounded stages). Zero/absent
-/// for Calvin and simulator runs.
+/// for simulator runs.
 struct PipelineStats {
   /// Real client requests admitted (dummy padding counted separately).
   std::uint64_t admitted = 0;

@@ -150,11 +150,10 @@ std::string EncodeMessage(const Message& msg) {
 void EncodeMessageTo(const Message& msg, std::string* outp) {
   std::string& out = *outp;
   // Header + fixed fields fit in ~64 bytes; the variable parts are the
-  // value record, the kv list, the plan blob, and the specs. Reserving
+  // value record, the plan blob, and the specs. Reserving
   // the estimate up front makes the common encode a single allocation.
   out.reserve(out.size() + 64 + 10 * msg.value.num_fields() +
-              24 * msg.kvs.size() + msg.plan_bytes.size() +
-              48 * msg.specs.size());
+              msg.plan_bytes.size() + 48 * msg.specs.size());
   WireWriter w(&out);
   w.PutU8(kWireFormatVersion);
   w.PutU8(static_cast<std::uint8_t>(msg.type));
@@ -173,11 +172,6 @@ void EncodeMessageTo(const Message& msg, std::string* outp) {
   w.PutVarint(msg.trace_ctx);
   w.PutVarint(msg.term);
   EncodeRecord(msg.value, w);
-  w.PutVarint(msg.kvs.size());
-  for (const auto& [key, value] : msg.kvs) {
-    w.PutVarint(key);
-    EncodeRecord(value, w);
-  }
   w.PutVarint(msg.plan_bytes.size());
   out.append(msg.plan_bytes);
   w.PutVarint(msg.specs.size());
@@ -279,19 +273,6 @@ Result<Message> DecodeMessage(std::string_view bytes) {
   if (!r.GetVarint(&u)) return Truncated("term");
   msg.term = u;
   if (!DecodeRecord(r, &msg.value)) return Truncated("value record");
-  std::uint64_t num_kvs;
-  if (!r.GetVarint(&num_kvs)) return Truncated("kv count");
-  if (num_kvs > r.remaining()) {
-    return Status::InvalidArgument("kv count exceeds payload");
-  }
-  msg.kvs.reserve(static_cast<std::size_t>(num_kvs));
-  for (std::uint64_t i = 0; i < num_kvs; ++i) {
-    std::uint64_t key;
-    if (!r.GetVarint(&key)) return Truncated("kv key");
-    Record value;
-    if (!DecodeRecord(r, &value)) return Truncated("kv record");
-    msg.kvs.emplace_back(key, std::move(value));
-  }
   std::uint64_t plan_len;
   if (!r.GetVarint(&plan_len)) return Truncated("plan length");
   if (plan_len > r.remaining()) {

@@ -16,12 +16,13 @@ namespace tpart {
 
 /// Compact binary wire format for everything that crosses a machine
 /// boundary: forward-pushed record versions, cache pulls, storage reads,
-/// write-backs, Calvin peer reads (runtime/channel.h Message), and sunk
-/// push plans (scheduler/push_plan.h) for scheduler->machine distribution
-/// in a real deployment. Integers are LEB128 varints (signed values
-/// zigzag-coded); every encoded object starts with a format-version byte
-/// so the format can evolve.
-inline constexpr std::uint8_t kWireFormatVersion = 1;
+/// write-backs (runtime/channel.h Message), and sunk push plans
+/// (scheduler/push_plan.h) for scheduler->machine distribution in a real
+/// deployment. Integers are LEB128 varints (signed values zigzag-coded);
+/// every encoded object starts with a format-version byte so the format
+/// can evolve: a peer speaking another version is rejected, never
+/// misparsed (version 2 renumbered the message types).
+inline constexpr std::uint8_t kWireFormatVersion = 2;
 
 // ---------------------------------------------------------------------
 // Primitive encoding

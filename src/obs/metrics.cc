@@ -179,9 +179,9 @@ std::string MetricsRegistry::PrometheusText() const {
         break;
       case Kind::kHistogram: {
         out.append("histogram\n");
-        // Cumulative le-buckets; empty power-of-two buckets are skipped
+        // Cumulative le-buckets; empty log-linear buckets are skipped
         // (the cumulative count is unchanged by them) to keep the
-        // exposition readable across 64 buckets.
+        // exposition readable across ~1000 buckets.
         std::uint64_t cumulative = 0;
         for (int i = 0; i < Histogram::num_buckets(); ++i) {
           const std::uint64_t c = e.hist.bucket_count(i);

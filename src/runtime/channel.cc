@@ -9,7 +9,7 @@ bool operator==(const Message& a, const Message& b) {
          a.total_reads == b.total_reads && a.awaits == b.awaits &&
          a.sticky == b.sticky && a.epoch == b.epoch &&
          a.reply_to == b.reply_to && a.req_id == b.req_id &&
-         a.txn == b.txn && a.kvs == b.kvs &&
+         a.txn == b.txn &&
          a.plan_bytes == b.plan_bytes && a.specs == b.specs &&
          a.trace_ctx == b.trace_ctx && a.term == b.term;
 }
@@ -17,10 +17,6 @@ bool operator==(const Message& a, const Message& b) {
 std::size_t ApproxMessageBytes(const Message& m) {
   std::size_t bytes = sizeof(Message);
   bytes += m.value.SizeBytes();
-  for (const auto& [key, rec] : m.kvs) {
-    (void)key;
-    bytes += sizeof(ObjectKey) + rec.SizeBytes();
-  }
   bytes += m.plan_bytes.size();
   for (const TxnSpec& spec : m.specs) {
     bytes += sizeof(TxnSpec) + spec.params.size() * sizeof(spec.params[0]);

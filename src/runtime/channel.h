@@ -34,8 +34,6 @@ struct Message {
     kStorageReadResp,
     /// Apply a write-back at the record's home.
     kWriteBackApply,
-    /// Calvin peer-push of local read results for one transaction (§2.1).
-    kPeerReads,
     /// Self-notification: the local executor published an epoch entry;
     /// parked remote pulls may now be served.
     kLocalPublish,
@@ -115,7 +113,6 @@ struct Message {
   MachineId reply_to = kInvalidMachine;
   std::uint64_t req_id = 0;
   TxnId txn = kInvalidTxnId;
-  std::vector<std::pair<ObjectKey, Record>> kvs;
   /// kSinkPlan: the round's plan, already wire-encoded (EncodeSinkPlan) so
   /// the scheduler serializes once per round, not once per destination.
   std::string plan_bytes;

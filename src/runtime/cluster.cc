@@ -118,9 +118,6 @@ void LocalCluster::Reset() {
           transport_->SendBatch(static_cast<MachineId>(m), msgs);
         },
         options_.sticky_ttl));
-    const DataPartitionMap* map = machine_map.get();
-    machines_.back()->set_locator(
-        [map](ObjectKey key) { return map->Locate(key); });
     machines_.back()->set_log_recording(options_.record_recovery_logs);
     machines_.back()->set_stall_timeout(
         std::chrono::microseconds(options_.stall_timeout_us));
@@ -285,7 +282,11 @@ ClusterRunOutcome LocalCluster::RunTPart() {
       if (fault.ok()) fault = Status::Unavailable(message);
     }
     // Release every blocked wait (reads, credits, parked storage) so the
-    // doomed run drains and reports instead of hanging.
+    // doomed run drains and reports instead of hanging. Every machine
+    // drains before any releases: a released storage read answers its
+    // remote reader with an absent placeholder, which that reader must
+    // not hand to a procedure.
+    for (auto& m : machines_) m->BeginDrain();
     for (auto& m : machines_) m->AbortPendingWaits();
   };
 
@@ -1272,7 +1273,7 @@ ClusterRunOutcome LocalCluster::RunTPart() {
     sampler->ClearSource();
   }
 
-  ClusterRunOutcome outcome = CollectResults(/*dedup_participants=*/false);
+  ClusterRunOutcome outcome = CollectResults();
   outcome.transport = transport_->stats();
   outcome.pipeline.admitted = admitted;
   outcome.pipeline.dummies = dummies;
@@ -1573,38 +1574,9 @@ std::string ApplySeededChaos(std::uint64_t seed, std::size_t num_machines,
   return out.str();
 }
 
-ClusterRunOutcome LocalCluster::RunCalvin() {
-  TPART_CHECK(!options_.resize.enabled())
-      << "elastic membership is a T-Part feature";
-  if (used_) Reset();
-  used_ = true;
-  NameTraceTracks(machines_.size());
-  TPART_TRACE(SetThreadInfo(0, "driver"));
-  const std::vector<TxnSpec> txns = workload_->SequencedRequests();
-  for (const TxnSpec& spec : txns) {
-    if (spec.is_dummy) continue;
-    // Each scheduler "forwards the request to the local executor if the
-    // read and write sets cover any data stored locally" (§2.1).
-    std::vector<bool> participates(machines_.size(), false);
-    for (const ObjectKey k : spec.rw.AllKeys()) {
-      participates[workload_->partition_map->Locate(k)] = true;
-    }
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      if (participates[m]) machines_[m]->EnqueueCalvinTxn(spec);
-    }
-  }
-  for (auto& m : machines_) m->StartCalvin();
-  for (auto& m : machines_) m->FinishEnqueue();
-  for (auto& m : machines_) m->JoinExecutor();
-  transport_->Flush();
-  ClusterRunOutcome outcome = CollectResults(/*dedup_participants=*/true);
-  outcome.transport = transport_->stats();
-  StopAll();
-  return outcome;
-}
-
-ClusterRunOutcome LocalCluster::CollectResults(bool dedup_participants) {
-  std::vector<TxnResult> all;
+ClusterRunOutcome LocalCluster::CollectResults() {
+  ClusterRunOutcome outcome;
+  std::vector<TxnResult>& all = outcome.results;
   for (auto& m : machines_) {
     for (auto& r : m->TakeResults()) all.push_back(std::move(r));
   }
@@ -1612,19 +1584,6 @@ ClusterRunOutcome LocalCluster::CollectResults(bool dedup_participants) {
             [](const TxnResult& a, const TxnResult& b) {
               return a.id < b.id;
             });
-  ClusterRunOutcome outcome;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (dedup_participants && !outcome.results.empty() &&
-        outcome.results.back().id == all[i].id) {
-      // Determinism: every participant must reach the same decision and
-      // outputs (§2.1).
-      TPART_CHECK(outcome.results.back().committed == all[i].committed &&
-                  outcome.results.back().output == all[i].output)
-          << "participants diverged on T" << all[i].id;
-      continue;
-    }
-    outcome.results.push_back(std::move(all[i]));
-  }
   for (const auto& r : outcome.results) {
     if (r.committed) {
       ++outcome.committed;

@@ -285,17 +285,15 @@ std::string ApplySeededChaos(std::uint64_t seed, std::size_t num_machines,
 
 /// A multi-machine deterministic database in one process: N Machines
 /// (each a partition-owning executor + service thread) wired by in-memory
-/// channels. Supports both execution engines over the same workload:
-///  * RunCalvin() — the §2.1 baseline (peer-pushing, every participant
-///    executes);
-///  * RunTPart() — the paper's engine (one executor per transaction,
-///    T-graph-partitioned, forward-pushing), run as the §3.1 streaming
-///    pipeline: requests are admitted incrementally through a Sequencer,
-///    scheduled on a dedicated thread, and each sunk plan ships to the
-///    machines as a wire message the moment it exists, so memory stays
-///    bounded by the `pipeline` caps.
-/// Both must produce identical results and identical final database state
-/// as the serial reference — the integration tests assert exactly this.
+/// channels, running the paper's engine. RunTPart() executes each
+/// transaction on one machine (T-graph-partitioned, forward-pushing) as
+/// the §3.1 streaming pipeline: requests are admitted incrementally
+/// through a Sequencer, scheduled on a dedicated thread, and each sunk
+/// plan ships to the machines as a wire message the moment it exists, so
+/// memory stays bounded by the `pipeline` caps. The run must produce the
+/// serial reference's results and final database state — the integration
+/// tests assert exactly this. The §2.1 Calvin baseline runs in the
+/// simulator only (sim/calvin_sim.h).
 class LocalCluster {
  public:
   LocalCluster(const Workload* workload, LocalClusterOptions options);
@@ -305,7 +303,6 @@ class LocalCluster {
   void Reset();
 
   ClusterRunOutcome RunTPart();
-  ClusterRunOutcome RunCalvin();
 
   PartitionedStore& store() { return *store_; }
   Machine& machine(MachineId m) { return *machines_.at(m); }
@@ -337,7 +334,7 @@ class LocalCluster {
   Status RunMembershipStep(std::size_t step_idx, MigrationStats& stats,
                            std::uint64_t term);
   void StopAll();
-  ClusterRunOutcome CollectResults(bool dedup_participants);
+  ClusterRunOutcome CollectResults();
   /// Rebuilds exactly partition `m` from its Zig-Zag checkpoint (wipes
   /// the partition's store, streams the checkpoint back in). Unlike
   /// Reset(), no other partition is touched — recovery cost stays

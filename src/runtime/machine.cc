@@ -11,7 +11,6 @@
 #include "net/wire.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "txn/rw_set.h"
 
 namespace tpart {
 
@@ -24,7 +23,6 @@ Machine::Machine(MachineId id, std::size_t num_machines, KvStore* store,
       registry_(registry),
       send_(std::move(send)),
       send_batch_(std::move(send_batch)),
-      sticky_ttl_(sticky_ttl),
       storage_(store, sticky_ttl) {}
 
 Machine::~Machine() {
@@ -44,14 +42,6 @@ void Machine::SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs) {
   if (!msgs.empty()) send_batch_(msgs);
 }
 
-void Machine::EnqueueCalvinTxn(TxnSpec spec) {
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    calvin_work_.push_back(std::move(spec));
-  }
-  work_cv_.notify_one();
-}
-
 void Machine::FinishEnqueue() {
   {
     std::lock_guard<std::mutex> lock(work_mu_);
@@ -64,12 +54,6 @@ void Machine::StartTPart() {
   service_running_ = true;
   service_ = std::thread([this] { ServiceLoop(); });
   executor_ = std::thread([this] { TPartWorkerLoop(/*initial=*/true); });
-}
-
-void Machine::StartCalvin() {
-  service_running_ = true;
-  service_ = std::thread([this] { ServiceLoop(); });
-  executor_ = std::thread([this] { CalvinExecutorLoop(); });
 }
 
 void Machine::JoinExecutor() {
@@ -92,6 +76,11 @@ void Machine::Stop() {
     inbound_.Send(std::move(stop));
     service_.join();
   }
+  ReleaseWaits();
+  service_running_ = false;
+}
+
+void Machine::ReleaseWaits() {
   cache_.Shutdown();
   storage_.Shutdown();
   {
@@ -100,16 +89,10 @@ void Machine::Stop() {
   }
   resp_cv_.notify_all();
   {
-    std::lock_guard<std::mutex> lock(peer_mu_);
-    peer_shutdown_ = true;
-  }
-  peer_cv_.notify_all();
-  {
     std::lock_guard<std::mutex> lock(credit_mu_);
     credit_shutdown_ = true;
   }
   credit_cv_.notify_all();
-  service_running_ = false;
 }
 
 std::vector<TxnResult> Machine::TakeResults() {
@@ -306,18 +289,6 @@ void Machine::Dispatch(Message msg) {
                               std::move(msg.value), msg.awaits, msg.sticky,
                               msg.epoch);
       break;
-    case Message::Type::kPeerReads: {
-      if (log) LogNetworkMessage(msg);
-      {
-        std::lock_guard<std::mutex> lock(peer_mu_);
-        auto& bucket = peer_reads_[msg.txn];
-        for (auto& [key, value] : msg.kvs) {
-          bucket[key] = std::move(value);
-        }
-      }
-      peer_cv_.notify_all();
-      break;
-    }
     // Elastic migration. Never network-logged: a replay re-shipping a
     // partition image would resurrect moved keys; the forced checkpoint
     // after the migration owns durability of the move instead.
@@ -555,7 +526,6 @@ void Machine::TPartWorkerLoop(bool initial) {
   // transaction or a remote machine.
   while (true) {
     WorkUnit unit;
-    bool evict = false;
     {
       std::unique_lock<std::mutex> lock(work_mu_);
       work_cv_.wait(lock, [&] {
@@ -572,14 +542,6 @@ void Machine::TPartWorkerLoop(bool initial) {
       if (tpart_work_.empty()) return;
       unit = std::move(tpart_work_.front());
       tpart_work_.pop_front();
-      if (unit.epoch > evicted_upto_) {
-        evicted_upto_ = unit.epoch;
-        evict = true;
-      }
-    }
-    if (evict) {
-      cache_.EvictExpiredSticky(
-          unit.epoch > sticky_ttl_ ? unit.epoch - sticky_ttl_ : 0);
     }
     ExecutePlan(unit.epoch, unit.item, unit.replay);
   }
@@ -709,8 +671,9 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   }
   TPART_TRACE(End());  // gather
 
-  // A failed run (AbortPendingWaits) drains without executing: the
-  // gathered values are shutdown placeholders, and procedures are
+  // A failed run (BeginDrain) drains without executing: the gathered
+  // values may be shutdown placeholders — from this machine's own released
+  // waits or from a peer's released storage read — and procedures are
   // entitled to assume real records.
   if (draining_.load(std::memory_order_acquire)) {
     TxnResult res;
@@ -945,7 +908,6 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
     tpart_work_.clear();
     epoch_outstanding_.clear();
     finished_enqueue_ = false;
-    evicted_upto_ = 0;
   }
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
@@ -960,10 +922,6 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
   {
     std::lock_guard<std::mutex> lock(resp_mu_);
     responses_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(peer_mu_);
-    peer_reads_.clear();
   }
   {
     std::lock_guard<std::mutex> lock(results_mu_);
@@ -1237,16 +1195,6 @@ void Machine::LogNetworkMessage(const Message& msg) {
   }
 }
 
-std::size_t Machine::request_log_bytes() const {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  return request_log_bytes_;
-}
-
-std::size_t Machine::network_log_bytes() const {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  return network_log_bytes_;
-}
-
 std::size_t Machine::request_log_bytes_peak() const {
   std::lock_guard<std::mutex> lock(log_mu_);
   return request_log_bytes_peak_;
@@ -1322,11 +1270,11 @@ void Machine::HandleMigrateBegin(Message msg) {
                     {"keys", keys->size()},
                     {"cut", msg.epoch}});
 
-  // Capture the partition image: record, version-discipline state, and
-  // sticky cache entry per key — then drop everything locally. ExtractKeys
-  // CHECKs that no parked storage work exists (the barrier quiesced the
-  // stream), and marks the keys dirty so the forced capture folds the
-  // deletions into this machine's checkpoint.
+  // Capture the partition image: record and version-discipline state per
+  // key — then drop everything locally. ExtractKeys CHECKs that no parked
+  // storage work exists (the barrier quiesced the stream), and marks the
+  // keys dirty so the forced capture folds the deletions into this
+  // machine's checkpoint.
   std::unordered_map<ObjectKey, StorageService::MigratedKeyState> state_of;
   for (auto& st : storage_.ExtractKeys(*keys)) {
     const ObjectKey key = st.key;
@@ -1353,12 +1301,6 @@ void Machine::HandleMigrateBegin(Message msg) {
       e.reads_served_since_wb = st->second.reads_served_since_wb;
       e.has_sticky = st->second.has_sticky;
       e.sticky_expire = st->second.sticky_expire;
-    }
-    if (auto sticky = cache_.ExtractSticky(key); sticky.has_value()) {
-      e.has_cache_sticky = true;
-      e.cache_sticky_value = std::move(sticky->value);
-      e.cache_sticky_version = sticky->version;
-      e.cache_sticky_expire = sticky->expire_epoch;
     }
     image.entries.push_back(std::move(e));
   }
@@ -1479,11 +1421,6 @@ void Machine::InstallMigration(std::uint64_t stream) {
           e.key, e.current, e.reads_served_since_wb, e.has_sticky,
           e.sticky_expire});
     }
-    if (e.has_cache_sticky) {
-      cache_.InstallSticky(CacheArea::Image::StickyImage{
-          e.key, std::move(e.cache_sticky_value), e.cache_sticky_version,
-          e.cache_sticky_expire});
-    }
   }
   storage_.InstallKeys(states);
   // Mark every moved key dirty (not just the stateful ones) so the forced
@@ -1564,128 +1501,8 @@ std::string Machine::StallDiagnostic() const {
 }
 
 void Machine::AbortPendingWaits() {
-  draining_.store(true, std::memory_order_release);
-  cache_.Shutdown();
-  storage_.Shutdown();
-  {
-    std::lock_guard<std::mutex> lock(resp_mu_);
-    resp_shutdown_ = true;
-  }
-  resp_cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(peer_mu_);
-    peer_shutdown_ = true;
-  }
-  peer_cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(credit_mu_);
-    credit_shutdown_ = true;
-  }
-  credit_cv_.notify_all();
-}
-
-// ---------------------------------------------------------------------
-// Calvin executor
-// ---------------------------------------------------------------------
-
-void Machine::CalvinExecutorLoop() {
-  TPART_TRACE(SetThreadInfo(static_cast<int>(1 + id_), "executor"));
-  while (true) {
-    TxnSpec spec;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [&] {
-        return !calvin_work_.empty() || finished_enqueue_;
-      });
-      if (calvin_work_.empty()) return;
-      spec = std::move(calvin_work_.front());
-      calvin_work_.pop_front();
-    }
-    ExecuteCalvin(spec);
-  }
-}
-
-void Machine::ExecuteCalvin(const TxnSpec& spec) {
-  TPART_TRACE_SPAN("txn", "exec", {{"txn", spec.id}});
-  // Calvin (§2.1): read local footprint, push to peers, wait for peers'
-  // reads, execute the full procedure, write local keys.
-  const KeySet all_keys = spec.rw.AllKeys();
-  std::vector<MachineId> participants;
-  std::vector<ObjectKey> remote_keys;
-  // Per-thread scratch, reused across transactions (DESIGN §4h).
-  thread_local ExecScratch exec_scratch;
-  exec_scratch.Clear();
-  auto& values = exec_scratch.values;
-  std::vector<std::pair<ObjectKey, Record>> local_kvs;
-  for (const ObjectKey k : all_keys) {
-    const MachineId home = locate_(k);
-    if (std::find(participants.begin(), participants.end(), home) ==
-        participants.end()) {
-      participants.push_back(home);
-    }
-    if (home == id_) {
-      Result<Record> r = store_->Read(k);
-      Record value = r.ok() ? std::move(*r) : Record::Absent();
-      local_kvs.emplace_back(k, value);
-      values.emplace(k, std::move(value));
-    } else {
-      remote_keys.push_back(k);
-    }
-  }
-
-  for (const MachineId peer : participants) {
-    if (peer == id_) continue;
-    Message m;
-    m.type = Message::Type::kPeerReads;
-    m.txn = spec.id;
-    m.kvs = local_kvs;
-    SendOut(peer, std::move(m));
-  }
-
-  if (!remote_keys.empty()) {
-    std::unique_lock<std::mutex> lock(peer_mu_);
-    const auto ready = [&] {
-      if (peer_shutdown_) return true;
-      auto it = peer_reads_.find(spec.id);
-      if (it == peer_reads_.end()) return false;
-      for (const ObjectKey k : remote_keys) {
-        if (it->second.count(k) == 0) return false;
-      }
-      return true;
-    };
-    // StallDiagnostic never touches peer_mu_.
-    TPART_CHECK(peer_cv_.wait_for(lock, stall_timeout_, ready))
-        << "stalled awaiting peer reads for T" << spec.id << ": "
-        << StallDiagnostic();
-    auto it = peer_reads_.find(spec.id);
-    if (it != peer_reads_.end()) {
-      for (auto& [key, value] : it->second) {
-        values[key] = std::move(value);
-      }
-      peer_reads_.erase(it);
-    }
-  }
-
-  GatheredTxnContext ctx(&spec, &exec_scratch);
-  Result<TxnResult> result = RunProcedure(*registry_, spec, ctx);
-  TPART_CHECK(result.ok()) << "engine failure executing T" << spec.id
-                           << ": " << result.status().ToString();
-  if (result->committed) {
-    for (auto& [key, rec] : ctx.writes()) {
-      if (locate_(key) != id_) continue;  // "local write" (§2.1)
-      if (rec.is_absent()) {
-        // Blind delete: an absent write may target a key that never
-        // existed here; kNotFound is the expected no-op, not an error.
-        (void)store_->Delete(key);
-      } else {
-        store_->Upsert(key, std::move(rec));
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    results_.push_back(std::move(*result));
-  }
+  BeginDrain();
+  ReleaseWaits();
 }
 
 }  // namespace tpart

@@ -29,10 +29,10 @@
 namespace tpart {
 
 /// One machine of the threaded runtime: an executor thread running the
-/// machine's slice of each sinking round (T-Part mode) or its relevant
-/// transactions in total order (Calvin mode), and a service thread
-/// handling inbound messages (pushes, pulls, storage requests,
-/// write-backs, peer reads).
+/// machine's slice of each sinking round in total order, and a service
+/// thread handling inbound messages (pushes, pulls, storage requests,
+/// write-backs). The §2.1 Calvin baseline runs only in the simulator
+/// (sim/calvin_sim.h).
 ///
 /// Recovery support (§5.4): the machine logs the requests assigned to it
 /// (after partitioning) and every inbound value-bearing message
@@ -51,7 +51,7 @@ class Machine {
       std::function<void(std::vector<std::pair<MachineId, Message>>&)>;
 
   /// Each machine runs one executor thread that takes its plans in total
-  /// (FIFO) order, in both T-Part and Calvin mode. The version-based CC
+  /// (FIFO) order. The version-based CC
   /// (reads wait for exact versions) already makes T-Part results
   /// independent of execution interleaving; FIFO order is what makes
   /// crash points and checkpoint barriers deterministic.
@@ -72,10 +72,8 @@ class Machine {
     TxnPlan plan;
     TxnSpec spec;
   };
-  /// Calvin mode: next relevant transaction in total order. (T-Part work
+  /// No more work will arrive; the executor drains and exits. (Work
   /// arrives as kSinkPlan/kPlanStreamEnd messages through Deliver.)
-  void EnqueueCalvinTxn(TxnSpec spec);
-  /// No more work will arrive; the executor drains and exits.
   void FinishEnqueue();
 
   // ---- Streaming intake (kSinkPlan/kPlanStreamEnd over the transport) --
@@ -118,7 +116,6 @@ class Machine {
   void set_txn_sample(std::uint64_t every) { txn_sample_ = every; }
 
   void StartTPart();
-  void StartCalvin();
   /// Joins the executor thread (service keeps running until Stop()).
   void JoinExecutor();
   /// Stops the service thread and releases all waiters.
@@ -131,8 +128,8 @@ class Machine {
   /// but long streaming runs keep memory bounded). Default on.
   void set_log_recording(bool on) { log_recording_ = on; }
 
-  /// Bounds every executor-side wait (response, credit, peer reads,
-  /// local storage read); must be > 0. On expiry the machine aborts with
+  /// Bounds every executor-side wait (response, credit, local storage
+  /// read); must be > 0. On expiry the machine aborts with
   /// a stall diagnostic instead of hanging. Must be set before Start*().
   void set_stall_timeout(std::chrono::microseconds timeout) {
     stall_timeout_ = timeout;
@@ -220,17 +217,19 @@ class Machine {
   std::uint64_t fenced_messages() const {
     return fenced_messages_.load(std::memory_order_relaxed);
   }
-  /// Releases every blocked wait with its shutdown value so a doomed run
-  /// (detected failure, no recovery) drains instead of hanging. The
-  /// machine keeps running; results are garbage and the caller reports
-  /// the failure Status.
+  /// First half of the fault-path drain of a doomed run (detected
+  /// failure, no recovery): from now on the executor records an empty
+  /// result for each plan instead of running its procedure, because the
+  /// values it gathers may be shutdown placeholders. Call it on every
+  /// machine of the run before any machine's AbortPendingWaits(): a
+  /// released storage read answers its remote reader with
+  /// Record::Absent(), and that reader must already be draining.
+  void BeginDrain() { draining_.store(true, std::memory_order_release); }
+  /// Second half: BeginDrain(), then releases every blocked wait with its
+  /// shutdown value so the run drains instead of hanging. The machine
+  /// keeps running; results are garbage and the caller reports the
+  /// failure Status.
   void AbortPendingWaits();
-
-  /// Key -> home machine, required by Calvin mode (peer sets and local
-  /// writes are derived from data placement).
-  void set_locator(std::function<MachineId(ObjectKey)> locate) {
-    locate_ = std::move(locate);
-  }
 
   // ---- Results & state ------------------------------------------------
   MachineId id() const { return id_; }
@@ -281,10 +280,8 @@ class Machine {
   /// Call before StartTPart().
   void ConfigureCheckpoint(MachineCheckpoint* image, SinkEpoch every);
 
-  /// Byte sizes of the §5.4 logs (current and high-water) — the
-  /// log-growth signal checkpoint truncation exists to bound.
-  std::size_t request_log_bytes() const;
-  std::size_t network_log_bytes() const;
+  /// High-water byte sizes of the §5.4 logs — the log-growth signal
+  /// checkpoint truncation exists to bound.
   std::size_t request_log_bytes_peak() const;
   std::size_t network_log_bytes_peak() const;
 
@@ -347,11 +344,12 @@ class Machine {
   /// `initial` is true only for the StartTPart() executor; an `at_start`
   /// crash point fires there, never in a recovery executor.
   void TPartWorkerLoop(bool initial);
-  void CalvinExecutorLoop();
   void ServiceLoop();
   void Dispatch(Message msg);
   void ExecutePlan(SinkEpoch epoch, const PlanItem& item, bool is_replay);
-  void ExecuteCalvin(const TxnSpec& spec);
+  /// Releases every blocked wait (cache, storage, responses, credits) with
+  /// its shutdown value; Stop() and AbortPendingWaits() share it.
+  void ReleaseWaits();
   void SendOut(MachineId to, Message msg);
   /// Flushes one publish phase's staged messages through send_batch_.
   void SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs);
@@ -398,8 +396,6 @@ class Machine {
   const ProcedureRegistry* registry_;
   SendFn send_;
   SendBatchFn send_batch_;
-  SinkEpoch sticky_ttl_;
-  std::function<MachineId(ObjectKey)> locate_;
 
   CacheArea cache_;
   StorageService storage_;
@@ -420,9 +416,7 @@ class Machine {
   mutable std::mutex work_mu_;
   std::condition_variable work_cv_;
   std::deque<WorkUnit> tpart_work_;
-  std::deque<TxnSpec> calvin_work_;
   bool finished_enqueue_ = false;
-  SinkEpoch evicted_upto_ = 0;
   mutable std::mutex log_mu_;
 
   // Streaming intake: reliable transports may deliver rounds out of
@@ -463,12 +457,6 @@ class Machine {
   std::condition_variable resp_cv_;
   std::unordered_map<std::uint64_t, Record> responses_;
   bool resp_shutdown_ = false;
-
-  // Calvin peer-read buffer: values received per transaction.
-  std::mutex peer_mu_;
-  std::condition_variable peer_cv_;
-  std::unordered_map<TxnId, std::unordered_map<ObjectKey, Record>> peer_reads_;
-  bool peer_shutdown_ = false;
 
   // Parked remote cache pulls: (key, version) -> pending requests.
   // Guarded by stream_mu_ (service thread + recovery wipe).
@@ -569,7 +557,7 @@ class Machine {
   /// Timeline sampling stride (set_txn_sample); read on the execute path.
   std::uint64_t txn_sample_ = 0;
   std::chrono::microseconds stall_timeout_{120'000'000};
-  /// Set by AbortPendingWaits(): the run was declared failed. Executors
+  /// Set by BeginDrain(): the run was declared failed. Executors
   /// drain their queues without running procedures (gathered values are
   /// shutdown placeholders, not real records).
   std::atomic<bool> draining_{false};

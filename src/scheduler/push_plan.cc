@@ -48,14 +48,6 @@ std::string TxnPlan::ToString() const {
   return out.str();
 }
 
-std::vector<const TxnPlan*> SinkPlan::PlansFor(MachineId machine) const {
-  std::vector<const TxnPlan*> out;
-  for (const auto& p : txns) {
-    if (p.machine == machine) out.push_back(&p);
-  }
-  return out;
-}
-
 std::size_t SinkPlan::NumDistributed() const {
   std::size_t n = 0;
   for (const auto& p : txns) {

@@ -133,9 +133,6 @@ struct SinkPlan {
   SinkEpoch epoch = 0;
   std::vector<TxnPlan> txns;
 
-  /// Plans owned by `machine`.
-  std::vector<const TxnPlan*> PlansFor(MachineId machine) const;
-
   /// Count of transactions whose reads include a remote source
   /// (kPush / kCacheRemote / remote kStorage).
   std::size_t NumDistributed() const;

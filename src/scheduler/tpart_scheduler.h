@@ -85,8 +85,6 @@ class TPartScheduler {
   /// {0, 0.0} until frequency tracking has seen an access — enabled by a
   /// pending hot-key migration step or track_key_frequencies.
   std::pair<ObjectKey, double> HottestKey() const;
-  /// Membership steps already applied (elastic runs only).
-  std::size_t membership_steps_applied() const { return applied_steps_; }
 
  private:
   std::vector<SinkPlan> MaybeSink();

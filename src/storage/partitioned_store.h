@@ -23,9 +23,6 @@ class PartitionedStore {
   std::size_t num_machines() const { return stores_.size(); }
 
   const DataPartitionMap& partition_map() const { return *partition_map_; }
-  std::shared_ptr<const DataPartitionMap> shared_partition_map() const {
-    return partition_map_;
-  }
 
   /// Store local to `machine`.
   KvStore& store(MachineId machine) { return *stores_.at(machine); }

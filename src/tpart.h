@@ -2,8 +2,8 @@
 #define TPART_TPART_H_
 
 /// Umbrella header: everything a downstream user needs to build and run a
-/// T-Part (or Calvin-baseline) deterministic database, in dependency
-/// order. Individual headers remain self-contained; include them directly
+/// T-Part deterministic database, or to simulate it beside the Calvin
+/// baseline (sim/), in dependency order. Individual headers remain self-contained; include them directly
 /// when compile time matters.
 
 #include "common/random.h"    // IWYU pragma: export

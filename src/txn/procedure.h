@@ -14,8 +14,8 @@
 namespace tpart {
 
 /// Data-access surface a stored procedure sees while executing. The
-/// implementation differs per engine (serial reference, Calvin runtime,
-/// T-Part runtime) but the procedure body is identical — this is what
+/// implementation differs per engine (serial reference, T-Part runtime,
+/// simulators) but the procedure body is identical — this is what
 /// makes the commit decision and written values deterministic (§2.1).
 class TxnContext {
  public:

@@ -71,18 +71,6 @@ TEST(CacheAreaTest, TryEpochEntryNonBlocking) {
   EXPECT_TRUE(cache.TryEpochEntry(1, 10, false, 0).has_value());
 }
 
-TEST(CacheAreaTest, StickyEntriesVersionCheckedAndExpiring) {
-  CacheArea cache;
-  cache.PutSticky(1, /*version=*/10, Record{3}, /*expire_epoch=*/5);
-  EXPECT_TRUE(cache.ReadSticky(1, 10, 4).has_value());
-  EXPECT_TRUE(cache.ReadSticky(1, 10, 5).has_value());
-  EXPECT_FALSE(cache.ReadSticky(1, 11, 4).has_value());  // wrong version
-  EXPECT_FALSE(cache.ReadSticky(1, 10, 6).has_value());  // expired
-  EXPECT_EQ(cache.sticky_hits(), 2u);
-  cache.EvictExpiredSticky(6);
-  EXPECT_EQ(cache.num_sticky_entries(), 0u);
-}
-
 TEST(CacheAreaTest, ShutdownReleasesWaiters) {
   CacheArea cache;
   std::optional<Record> got = Record{1};

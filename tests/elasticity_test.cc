@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "elastic/elastic_map.h"
+#include "elastic/migration.h"
 #include "runtime/cluster.h"
 #include "storage/kv_store.h"
 #include "test_time.h"
@@ -29,6 +30,66 @@ MicroOptions SmallMicro(std::size_t num_machines) {
   o.hot_set_size = 25;
   o.num_txns = 405;  // ~21 sinking rounds at sink_size 20
   return o;
+}
+
+// The partition image and the moved-key list are peer bytes: they
+// round-trip exactly, and the decoders refuse what they cannot parse (a
+// truncated entry, a flag bit the encoder never sets, a count larger than
+// the payload) instead of misreading the bytes after it or reserving
+// memory for entries that are not there.
+TEST(PartitionImageTest, RoundTripsAndRejectsMalformedBytes) {
+  PartitionImage image;
+  PartitionImage::KeyEntry plain;
+  plain.key = 3;
+  plain.present = true;
+  plain.value = Record{7, 8};
+  image.entries.push_back(plain);
+  PartitionImage::KeyEntry stateful;
+  stateful.key = 9;
+  stateful.has_state = true;
+  stateful.current = 41;
+  stateful.reads_served_since_wb = 2;
+  stateful.has_sticky = true;
+  stateful.sticky_expire = 6;
+  image.entries.push_back(stateful);
+
+  const std::string bytes = EncodePartitionImage(image);
+  Result<PartitionImage> got = DecodePartitionImage(bytes);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->entries.size(), 2u);
+  EXPECT_EQ(got->entries[0].key, 3u);
+  EXPECT_TRUE(got->entries[0].present);
+  EXPECT_EQ(got->entries[0].value, (Record{7, 8}));
+  EXPECT_FALSE(got->entries[0].has_state);
+  EXPECT_EQ(got->entries[1].key, 9u);
+  EXPECT_FALSE(got->entries[1].present);
+  EXPECT_TRUE(got->entries[1].has_state);
+  EXPECT_EQ(got->entries[1].current, 41u);
+  EXPECT_EQ(got->entries[1].reads_served_since_wb, 2u);
+  EXPECT_TRUE(got->entries[1].has_sticky);
+  EXPECT_EQ(got->entries[1].sticky_expire, 6u);
+
+  EXPECT_FALSE(
+      DecodePartitionImage(bytes.substr(0, bytes.size() - 1)).ok());
+  // Byte layout: version, entry count, then the first entry's key and
+  // flags (both one byte here). Every bit above the encoder's three flags
+  // must be refused.
+  for (int bit = 3; bit < 8; ++bit) {
+    std::string bad = bytes;
+    bad[3] = static_cast<char>(bad[3] | (1 << bit));
+    EXPECT_FALSE(DecodePartitionImage(bad).ok()) << "flag bit " << bit;
+  }
+  // Version byte, then a varint count of 2^62 with nothing behind it.
+  std::string huge = bytes.substr(0, 1);
+  for (int i = 0; i < 8; ++i) huge.push_back(static_cast<char>(0x80));
+  huge.push_back(static_cast<char>(0x40));
+  EXPECT_FALSE(DecodePartitionImage(huge).ok());
+  EXPECT_FALSE(DecodeKeyList(huge).ok());
+
+  Result<std::vector<ObjectKey>> keys =
+      DecodeKeyList(EncodeKeyList({4, 1u << 20}));
+  ASSERT_TRUE(keys.ok()) << keys.status().ToString();
+  EXPECT_EQ(*keys, (std::vector<ObjectKey>{4, 1u << 20}));
 }
 
 LocalClusterOptions StreamingOpts(TransportKind kind) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <string>
@@ -370,6 +371,94 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
   m.JoinExecutor();
   EXPECT_EQ(m.TakeResults().size(), 1u);
   m.Stop();
+}
+
+// The fault-path drain of a doomed run: machine A's abort answers a
+// storage read parked on A with an absent placeholder, and the reader is
+// machine B's executor. B must already be draining when that placeholder
+// arrives — a procedure run on it dies with std::out_of_range ("Record
+// field index") instead of the run exiting with its fault Status. The
+// cluster therefore marks every machine draining (BeginDrain) before any
+// machine releases its waits (AbortPendingWaits).
+TEST(FailoverTest, FaultDrainNeverRunsProcedureOnPeerPlaceholder) {
+  KvStore store_a;
+  store_a.Upsert(5, Record{50});
+  KvStore store_b;
+  std::atomic<int> procedure_runs{0};
+  std::atomic<bool> saw_placeholder{false};
+  ProcedureRegistry registry;
+  registry.Register(200, "read_one", [&](TxnContext& ctx) {
+    procedure_runs.fetch_add(1);
+    Result<Record> r = ctx.Get(5);
+    if (!r.ok() || r->is_absent()) {
+      saw_placeholder.store(true);
+      return Status::Ok();
+    }
+    ctx.EmitOutput(r->field(0));
+    return Status::Ok();
+  });
+  Machine* machines[2] = {nullptr, nullptr};
+  const auto route = [&machines](MachineId to, Message msg) {
+    machines[to]->Deliver(std::move(msg));
+  };
+  const auto no_batch = [](std::vector<std::pair<MachineId, Message>>&) {};
+  Machine a(0, 2, &store_a, &registry, route, no_batch);
+  Machine b(1, 2, &store_b, &registry, route, no_batch);
+  machines[0] = &a;
+  machines[1] = &b;
+  a.StartTPart();
+  b.StartTPart();
+  a.FinishEnqueue();  // A executes nothing; it only serves storage
+
+  // B's only plan reads key 5 from A's storage at version v7 — a
+  // write-back that never comes, so the read parks on A.
+  TxnPlan plan;
+  plan.txn = 1;
+  plan.machine = 1;
+  ReadStep r;
+  r.key = 5;
+  r.kind = ReadSourceKind::kStorage;
+  r.src_txn = 7;
+  r.src_machine = 0;
+  r.provider_txn = 7;
+  plan.reads.push_back(r);
+  TxnSpec spec;
+  spec.id = 1;
+  spec.proc = 200;
+  spec.rw.reads = {5};
+  SinkPlan round;
+  round.epoch = 1;
+  round.txns.push_back(plan);
+  Message ship;
+  ship.type = Message::Type::kSinkPlan;
+  ship.plan_bytes = EncodeSinkPlan(round);
+  ship.specs.push_back(spec);
+  b.Deliver(std::move(ship));
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 1;
+  b.Deliver(std::move(end));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(b.executed_plans(), 0u) << b.StallDiagnostic();
+
+  // The cluster's fault declaration, in its order: every machine drains,
+  // then A releases its waits first. (Had the read not parked yet, A's
+  // shut-down storage answers it with the same placeholder on arrival.)
+  a.BeginDrain();
+  b.BeginDrain();
+  a.AbortPendingWaits();
+  b.JoinExecutor();
+  b.AbortPendingWaits();
+  a.JoinExecutor();
+
+  EXPECT_EQ(procedure_runs.load(), 0);
+  EXPECT_FALSE(saw_placeholder.load());
+  const std::vector<TxnResult> results = b.TakeResults();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].id, 1u);
+  EXPECT_FALSE(results[0].committed);
+  a.Stop();
+  b.Stop();
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,6 @@
-// Integration tests of the threaded runtime: the Calvin-mode and
-// T-Part-mode clusters must produce exactly the serial reference's
-// per-transaction outputs and final database state — determinism +
-// serializability across engines.
+// Integration tests of the threaded runtime: the T-Part cluster must
+// produce exactly the serial reference's per-transaction outputs and
+// final database state — determinism + serializability.
 
 #include <gtest/gtest.h>
 
@@ -49,11 +48,6 @@ void CheckEnginesAgree(const Workload& w, LocalClusterOptions opts) {
   ExpectSameResults(serial_results, tpart.results);
   EXPECT_EQ(cluster.store().Snapshot(), serial_state)
       << "T-Part final state diverged from serial";
-
-  const ClusterRunOutcome calvin = cluster.RunCalvin();
-  ExpectSameResults(serial_results, calvin.results);
-  EXPECT_EQ(cluster.store().Snapshot(), serial_state)
-      << "Calvin final state diverged from serial";
 }
 
 LocalClusterOptions SmallClusterOpts(std::size_t sink_size = 20) {

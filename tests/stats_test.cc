@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "obs/metrics.h"
@@ -123,6 +129,61 @@ TEST(HistogramTest, MergeMatchesSingleStream) {
   for (int i = 0; i < Histogram::num_buckets(); ++i) {
     EXPECT_EQ(left.bucket_count(i), whole.bucket_count(i)) << "bucket " << i;
   }
+}
+
+// Checks p50/p90/p99/p99.9 of `samples` against the exact sample
+// quantile (rank floor(q*(n-1))): never below it, at most 1/16 above.
+void ExpectQuantilesWithinOneSixteenth(std::vector<std::uint64_t> samples) {
+  Histogram h;
+  for (const std::uint64_t v : samples) h.Add(v);
+  std::sort(samples.begin(), samples.end());
+  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+    const auto rank =
+        static_cast<std::size_t>(q * static_cast<double>(samples.size() - 1));
+    const std::uint64_t exact = samples[rank];
+    const std::uint64_t got = h.Quantile(q);
+    EXPECT_GE(got, exact) << "q=" << q;
+    EXPECT_LE(static_cast<double>(got - exact),
+              static_cast<double>(exact) / 16.0)
+        << "q=" << q << " exact=" << exact << " got=" << got;
+  }
+  EXPECT_EQ(h.Quantile(1.0), samples.back());
+}
+
+TEST(HistogramTest, QuantilesWithinOneSixteenthOnUniformSample) {
+  std::mt19937_64 rng(7);
+  std::uniform_int_distribution<std::uint64_t> dist(0, 100'000);
+  std::vector<std::uint64_t> samples(20'000);
+  for (auto& v : samples) v = dist(rng);
+  ExpectQuantilesWithinOneSixteenth(std::move(samples));
+}
+
+TEST(HistogramTest, QuantilesWithinOneSixteenthOnHeavyTailedSample) {
+  // Pareto(alpha = 1.1) scaled to a 50 µs floor: most samples sit near
+  // the floor while the tail reaches seconds.
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> unit(1e-9, 1.0);
+  std::vector<std::uint64_t> samples(20'000);
+  for (auto& v : samples) {
+    v = static_cast<std::uint64_t>(50.0 / std::pow(unit(rng), 1.0 / 1.1));
+  }
+  ExpectQuantilesWithinOneSixteenth(std::move(samples));
+}
+
+TEST(HistogramTest, SmallValuesAreExactAndTopBucketCoversUint64) {
+  Histogram h;
+  for (std::uint64_t v = 0; v < 16; ++v) h.Add(v);
+  EXPECT_EQ(h.Quantile(0.0), 0u);
+  EXPECT_EQ(h.Quantile(0.5), 7u);
+  EXPECT_EQ(h.Quantile(1.0), 15u);
+  for (int i = 1; i < Histogram::num_buckets(); ++i) {
+    ASSERT_GT(Histogram::BucketUpperBound(i), Histogram::BucketUpperBound(i - 1))
+        << "bucket " << i;
+  }
+  EXPECT_EQ(Histogram::BucketUpperBound(Histogram::num_buckets() - 1),
+            std::numeric_limits<std::uint64_t>::max());
+  h.Add(std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(h.Quantile(1.0), std::numeric_limits<std::uint64_t>::max());
 }
 
 // ---------------------------------------------------------------------

@@ -58,8 +58,8 @@ LocalClusterOptions OptsFor(TransportKind kind) {
   return opts;
 }
 
-// Run both engines over `opts.transport` and check them against the
-// serial reference. Returns the T-Part run's transport stats.
+// Run T-Part over `opts.transport` and check it against the serial
+// reference. Returns the run's transport stats.
 TransportStats CheckTransportMatchesSerial(const Workload& w,
                                            LocalClusterOptions opts) {
   const auto [serial_results, serial_state] = SerialReference(w);
@@ -70,11 +70,6 @@ TransportStats CheckTransportMatchesSerial(const Workload& w,
   EXPECT_EQ(cluster.store().Snapshot(), serial_state)
       << "T-Part final state diverged from serial";
   EXPECT_EQ(tpart.committed + tpart.aborted, serial_results.size());
-
-  const ClusterRunOutcome calvin = cluster.RunCalvin();
-  ExpectSameResults(serial_results, calvin.results);
-  EXPECT_EQ(cluster.store().Snapshot(), serial_state)
-      << "Calvin final state diverged from serial";
   return tpart.transport;
 }
 

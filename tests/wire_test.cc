@@ -144,7 +144,6 @@ Message FullMessage() {
   m.txn = 88;
   m.term = 7;
   m.trace_ctx = obs::PackTraceCtx(/*origin=*/3, /*term=*/2);
-  m.kvs = {{5, Record({7})}, {6, Record::Absent()}};
   // plan_bytes is opaque at the Message layer: arbitrary (non-UTF-8,
   // NUL-bearing) bytes must survive.
   m.plan_bytes = std::string("\x01\x00\xFF\x7F", 4);
