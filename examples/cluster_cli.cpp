@@ -249,6 +249,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--engine must be calvin, tpart or both\n");
     return 2;
   }
+  if (transport_name != "direct" && transport_name != "inproc" &&
+      transport_name != "tcp") {
+    std::fprintf(stderr, "--transport must be direct, inproc or tcp\n");
+    return 2;
+  }
+  if (resize_policy != "rehash" && resize_policy != "hotkey") {
+    std::fprintf(stderr, "--resize-policy must be rehash or hotkey\n");
+    return 2;
+  }
   if (use_runtime && engine == "calvin") {
     std::fprintf(stderr,
                  "--engine=calvin runs in the simulator only; drop "
@@ -517,9 +526,6 @@ int main(int argc, char** argv) {
       }
       if (resize_policy == "hotkey") {
         opts.resize.policy = MigrationPolicy::kHotKey;
-      } else if (resize_policy != "rehash") {
-        std::fprintf(stderr, "--resize-policy must be rehash or hotkey\n");
-        return 2;
       }
     }
     opts.checkpoint_every = checkpoint_every;

@@ -84,10 +84,9 @@ struct PipelineStats {
   /// stage of the pipeline; unbounded, so growth here is the first sign
   /// of a service thread falling behind).
   std::uint64_t machine_inbound_high_water = 0;
-  /// Times any machine's inbound ring overflowed its fixed slots and fell
-  /// back to the locked spill deque (runtime/ring_channel.h). Spills are
-  /// correct but slow — sustained growth means the ring is undersized for
-  /// the offered burst rate.
+  /// Always 0: the inbound FIFO is an unbounded BlockingQueue and never
+  /// spills. Kept only because clusterbench still reports it as
+  /// `runtime.inbound_spills`; delete both with the next benchmark change.
   std::uint64_t machine_inbound_spills = 0;
   /// Wall-clock seconds the admission stage spent end to end.
   double admission_seconds = 0.0;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -145,11 +144,16 @@ bool operator==(const Message& a, const Message& b);
 /// accounting (not the wire size).
 std::size_t ApproxMessageBytes(const Message& m);
 
-/// MPSC blocking queue — the "network" between machines for the direct
-/// in-memory transport, and the byte-packet conveyor inside the
-/// serialized in-process transport (net/packet_network.h). A capacity of
-/// 0 means unbounded; a bounded queue blocks senders when full, which is
-/// how the transports exert backpressure.
+/// MPSC blocking queue — each machine's inbound FIFO, the "network"
+/// between machines for the direct in-memory transport, and the
+/// byte-packet conveyor inside the serialized in-process transport
+/// (net/packet_network.h). A capacity of 0 means unbounded; a bounded
+/// queue blocks senders when full, which is how the transports exert
+/// backpressure.
+///
+/// Elements live in a power-of-two circular buffer that doubles when full
+/// and never shrinks, so once a queue has reached its working depth a
+/// Send/Receive pair allocates nothing.
 template <typename T>
 class BlockingQueue {
  public:
@@ -161,12 +165,13 @@ class BlockingQueue {
     bool waited = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (capacity_ > 0 && queue_.size() >= capacity_) {
+      if (capacity_ > 0 && size_ >= capacity_) {
         waited = true;
-        space_cv_.wait(lock, [&] { return queue_.size() < capacity_; });
+        space_cv_.wait(lock, [&] { return size_ < capacity_; });
       }
-      queue_.push_back(std::move(msg));
-      if (queue_.size() > high_water_) high_water_ = queue_.size();
+      if (size_ == buf_.size()) Grow();
+      buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(msg);
+      if (++size_ > high_water_) high_water_ = size_;
     }
     cv_.notify_one();
     return waited;
@@ -175,12 +180,8 @@ class BlockingQueue {
   /// Blocks for the next message.
   T Receive() {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return !queue_.empty(); });
-    T msg = std::move(queue_.front());
-    queue_.pop_front();
-    lock.unlock();
-    space_cv_.notify_one();
-    return msg;
+    cv_.wait(lock, [&] { return size_ > 0; });
+    return PopAndUnlock(lock);
   }
 
   /// Deadline-aware variant: waits at most `timeout` for a message and
@@ -192,7 +193,7 @@ class BlockingQueue {
   /// total wait past the requested timeout.
   [[nodiscard]] Result<T> ReceiveFor(std::chrono::microseconds timeout) {
     std::unique_lock<std::mutex> lock(mu_);
-    const auto ready = [&] { return !queue_.empty(); };
+    const auto ready = [&] { return size_ > 0; };
     if (timeout.count() <= 0) {
       cv_.wait(lock, ready);
     } else {
@@ -201,27 +202,19 @@ class BlockingQueue {
         return Status::Unavailable("channel receive timed out");
       }
     }
-    T msg = std::move(queue_.front());
-    queue_.pop_front();
-    lock.unlock();
-    space_cv_.notify_one();
-    return msg;
+    return PopAndUnlock(lock);
   }
 
   /// Non-blocking variant.
   std::optional<T> TryReceive() {
     std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.empty()) return std::nullopt;
-    T msg = std::move(queue_.front());
-    queue_.pop_front();
-    lock.unlock();
-    space_cv_.notify_one();
-    return msg;
+    if (size_ == 0) return std::nullopt;
+    return PopAndUnlock(lock);
   }
 
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size();
+    return size_;
   }
 
   /// Largest queue depth ever observed.
@@ -231,10 +224,33 @@ class BlockingQueue {
   }
 
  private:
+  /// Takes the head element (requires size_ > 0), then releases `lock`
+  /// and wakes one sender blocked on a full bounded queue.
+  T PopAndUnlock(std::unique_lock<std::mutex>& lock) {
+    T msg = std::move(buf_[head_]);
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
+    lock.unlock();
+    space_cv_.notify_one();
+    return msg;
+  }
+
+  /// Doubles the buffer, unwrapping the live elements to its front.
+  void Grow() {
+    std::vector<T> next(buf_.empty() ? 16 : 2 * buf_.size());
+    for (std::size_t i = 0; i < size_; ++i) {
+      next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
+    }
+    buf_.swap(next);
+    head_ = 0;
+  }
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable space_cv_;
-  std::deque<T> queue_;
+  std::vector<T> buf_;    // capacity a power of two once non-empty
+  std::size_t head_ = 0;  // index of the oldest element
+  std::size_t size_ = 0;
   std::size_t capacity_;
   std::size_t high_water_ = 0;
 };

@@ -363,8 +363,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
             std::chrono::microseconds(options_.straggler.delay_us);
       }
       PhiAccrualDetector::Options fd_opts;
-      fd_opts.history = options_.detector.history;
-      fd_opts.phi_threshold = options_.detector.phi_threshold;
       fd_opts.expected_interval_us = static_cast<std::uint64_t>(
           interval.count());
       PhiAccrualDetector detector(machines_.size(), fd_opts);
@@ -432,7 +430,7 @@ ClusterRunOutcome LocalCluster::RunTPart() {
           if (!machines_[m]->crashed() && phi > recovery.peak_healthy_phi) {
             recovery.peak_healthy_phi = phi;
           }
-          if (phi < options_.detector.phi_threshold) {
+          if (phi < PhiAccrualDetector::kPhiThreshold) {
             // Deadline expired but the learned inter-arrival distribution
             // says this silence is unexceptional (gray failure /
             // straggler regime): suppress the declaration.
@@ -1290,7 +1288,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
     outcome.pipeline.machine_inbound_high_water =
         std::max<std::uint64_t>(outcome.pipeline.machine_inbound_high_water,
                                 m->inbound_queue_high_water());
-    outcome.pipeline.machine_inbound_spills += m->inbound_overflow_spills();
   }
   outcome.pipeline.admission_seconds = admission_seconds;
   outcome.pipeline.admit_to_commit_us = latency.us;

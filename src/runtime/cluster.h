@@ -166,16 +166,12 @@ struct LocalClusterOptions {
     /// Deadline floor: a machine whose recorded heartbeat sequence stalls
     /// longer than this becomes eligible for a failure declaration. It is
     /// declared failed only when the phi-accrual suspicion level also
-    /// crosses `phi_threshold`.
+    /// crosses PhiAccrualDetector::kPhiThreshold (DESIGN §4j): suspicion
+    /// is computed from each machine's observed heartbeat inter-arrival
+    /// history, so stragglers and gray-failure slow links — slow but
+    /// alive — never trigger a false-positive recovery, while a true
+    /// crash-stop's unbounded silence still crosses any threshold.
     std::uint64_t deadline_us = 100000;
-    /// Phi-accrual gate (DESIGN §4j): suspicion is computed from each
-    /// machine's observed heartbeat inter-arrival history, so stragglers
-    /// and gray-failure slow links — slow but alive — never trigger a
-    /// false-positive recovery, while a true crash-stop's unbounded
-    /// silence still crosses any threshold.
-    double phi_threshold = 8.0;
-    /// Inter-arrival samples kept per machine.
-    std::size_t history = 64;
   };
   FailureDetectorOptions detector;
 

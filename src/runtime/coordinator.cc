@@ -9,6 +9,19 @@ namespace tpart {
 
 namespace {
 
+/// Leader -> standby liveness heartbeat period.
+constexpr std::uint64_t kHeartbeatIntervalUs = 1000;
+/// Randomized pre-claim backoff unit: standby r waits
+/// kBackoffBaseUs * r + jitter(< kBackoffBaseUs) before claiming, so
+/// concurrent timeouts (e.g. under stragglers) rarely duel.
+constexpr std::uint64_t kBackoffBaseUs = 2000;
+/// Seed for the per-replica backoff jitter.
+constexpr std::uint64_t kBackoffSeed = 1;
+
+}  // namespace
+
+namespace {
+
 using Clock = std::chrono::steady_clock;
 
 std::uint64_t UsBetween(Clock::time_point a, Clock::time_point b) {
@@ -77,7 +90,7 @@ void CoordinatorReplicaSet::Deliver(std::size_t r, Message msg) {
 void CoordinatorReplicaSet::HeartbeatLoop() {
   for (;;) {
     std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.heartbeat_interval_us));
+        std::chrono::microseconds(kHeartbeatIntervalUs));
     std::size_t leader;
     std::uint64_t seq;
     std::vector<MachineId> targets;
@@ -104,9 +117,7 @@ void CoordinatorReplicaSet::PumpLoop(std::size_t r) {
   // A replica both pumps its inbound queue and, as a standby, watches the
   // leader's heartbeat. The receive timeout doubles as the election-check
   // cadence.
-  const auto tick =
-      std::chrono::microseconds(std::max<std::uint64_t>(
-          options_.heartbeat_interval_us / 2, 100));
+  const auto tick = std::chrono::microseconds(kHeartbeatIntervalUs / 2);
   for (;;) {
     Result<Message> got = replicas_[r]->inbound.ReceiveFor(tick);
     if (got.ok()) {
@@ -297,11 +308,9 @@ void CoordinatorReplicaSet::MaybeElect(std::size_t r) {
         timeout_recorded_ = true;
         t_timeout_ = now;
       }
-      Rng jitter(options_.seed + 0x9E37ULL * (r + 1) + term_);
+      Rng jitter(kBackoffSeed + 0x9E37ULL * (r + 1) + term_);
       const std::uint64_t backoff =
-          options_.backoff_base_us * r +
-          jitter.NextBelow(std::max<std::uint64_t>(options_.backoff_base_us,
-                                                   1));
+          kBackoffBaseUs * r + jitter.NextBelow(kBackoffBaseUs);
       rep.candidate = true;
       rep.claim_deadline = now + std::chrono::microseconds(backoff);
       return;

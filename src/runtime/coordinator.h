@@ -23,16 +23,8 @@ struct CoordinatorOptions {
   /// Standby replicas behind the leader. 0 disables replication entirely
   /// (the coordinator stays a single point of failure, as before).
   std::size_t standbys = 0;
-  /// Leader -> standby liveness heartbeat period.
-  std::uint64_t heartbeat_interval_us = 1000;
   /// Silence from the leader before a standby's election timer fires.
   std::uint64_t election_timeout_us = 20000;
-  /// Randomized pre-claim backoff unit: standby r waits
-  /// backoff_base_us * r + jitter(< backoff_base_us) before claiming, so
-  /// concurrent timeouts (e.g. under stragglers) rarely duel.
-  std::uint64_t backoff_base_us = 2000;
-  /// Seed for the per-replica backoff jitter.
-  std::uint64_t seed = 1;
 };
 
 /// The coordinator replica ensemble: the leader plus `standbys` standby

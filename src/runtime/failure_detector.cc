@@ -9,8 +9,7 @@ namespace tpart {
 PhiAccrualDetector::PhiAccrualDetector(std::size_t num_machines,
                                        Options options)
     : options_(options), states_(num_machines) {
-  options_.history = std::max<std::size_t>(options_.history, 4);
-  for (State& s : states_) s.window.resize(options_.history, 0);
+  for (State& s : states_) s.window.resize(kHistory, 0);
 }
 
 void PhiAccrualDetector::Observe(std::size_t machine, std::uint64_t now_us) {
@@ -47,11 +46,8 @@ void PhiAccrualDetector::MeanStd(const State& s, double* mean,
     }
     var /= static_cast<double>(s.count);
   }
-  const double floor =
-      options_.min_std_us > 0.0
-          ? options_.min_std_us
-          : std::max(static_cast<double>(options_.expected_interval_us) / 4.0,
-                     200.0);
+  const double floor = std::max(
+      static_cast<double>(options_.expected_interval_us) / 4.0, kMinStdUs);
   *mean = m;
   *std_out = std::max(std::sqrt(var), floor);
 }

@@ -28,16 +28,18 @@ namespace tpart {
 
 class PhiAccrualDetector {
  public:
+  /// Inter-arrival samples kept per machine (sliding window).
+  static constexpr std::size_t kHistory = 64;
+  /// Suspicion level that corroborates a deadline expiry. 8 means "the
+  /// chance a live machine is this late is < 1e-8".
+  static constexpr double kPhiThreshold = 8.0;
+  /// Std-deviation floor (us), raised to a quarter of the expected
+  /// interval when that is larger: keeps phi finite when the observed
+  /// inter-arrivals are nearly constant (in-process heartbeats jitter by
+  /// microseconds, which would make any hiccup look fatal).
+  static constexpr double kMinStdUs = 200.0;
+
   struct Options {
-    /// Inter-arrival samples kept per machine (sliding window).
-    std::size_t history = 64;
-    /// Suspicion level that corroborates a deadline expiry. 8 means
-    /// "the chance a live machine is this late is < 1e-8".
-    double phi_threshold = 8.0;
-    /// Std-deviation floor (us): keeps phi finite when the observed
-    /// inter-arrivals are nearly constant (in-process heartbeats jitter
-    /// by microseconds, which would make any hiccup look fatal).
-    double min_std_us = 0.0;  // 0 = max(expected/4, 200)
     /// Seed mean before real samples arrive: the probe interval.
     std::uint64_t expected_interval_us = 1000;
   };

@@ -19,7 +19,6 @@
 #include "cache/cache_area.h"
 #include "runtime/channel.h"
 #include "runtime/machine_checkpoint.h"
-#include "runtime/ring_channel.h"
 #include "runtime/storage_service.h"
 #include "scheduler/push_plan.h"
 #include "storage/kv_store.h"
@@ -97,10 +96,6 @@ class Machine {
   std::size_t epochs_in_flight() const;
   /// Deepest the inbound service FIFO ever got (pipeline depth gauge).
   std::size_t inbound_queue_high_water() const { return inbound_.high_water(); }
-  /// Sends that overflowed the inbound ring onto its spill deque.
-  std::uint64_t inbound_overflow_spills() const {
-    return inbound_.overflow_spills();
-  }
 
   /// Invoked (from an executor thread) with each transaction's id as its
   /// result is recorded — admission-to-commit latency tracking. Set before
@@ -399,11 +394,12 @@ class Machine {
 
   CacheArea cache_;
   StorageService storage_;
-  /// Inbound message queue: MPSC ring with cv-parked consumer fallback
-  /// (runtime/ring_channel.h). Producers — peer service threads (direct
+  /// Inbound message queue. Producers — peer service threads (direct
   /// transport), the network receiver, the control plane, and our own
-  /// executor's self-sends — take no lock on the fast path.
-  RingChannel<Message> inbound_;
+  /// executor's self-sends — never block: it is unbounded because the
+  /// direct transport delivers synchronously from peer service threads,
+  /// so a bounded queue could deadlock a cycle of full machines.
+  BlockingQueue<Message> inbound_;
 
   // Executor work queue. T-Part work is flattened to per-plan units
   // consumed in total order by the executor; `replay` marks §5.4

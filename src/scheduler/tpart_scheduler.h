@@ -65,9 +65,6 @@ class TPartScheduler {
   /// Sinks everything still unsunk (end of stream), in sink_size rounds.
   std::vector<SinkPlan> Drain();
 
-  /// Engine feedback: `id` committed on its machine (§3.1 sink weights).
-  void OnCommitted(TxnId id) { graph_.OnCommitted(id); }
-
   const TGraph& graph() const { return graph_; }
   TGraph& mutable_graph() { return graph_; }
   const Options& options() const { return options_; }

@@ -269,15 +269,17 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
     }
   }
 
-  // ---- Pass 4: account sunk load into the sink nodes ("the weight of a
-  // sink node ... is the sum of weights of nodes that have already been
-  // sent to the executor on that machine, but not committed yet", §3.1),
+  // ---- Pass 4: account sunk load into the sink nodes (cumulative weight
+  // sunk per machine; see TGraph::sink_weight), emit plans for real
+  // transactions only ("the schedulers discard these dummy requests when
+  // generating a push plan", §3.3; slots[i] pairs with nodes_[i]),
   // garbage-collect dead edges, and drop the sunk nodes.
+  plan.txns.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const TxnNode& n = nodes_[i];
     if (!n.spec.is_dummy) {
       sink_weight_[n.assigned] += n.weight;
-      outstanding_[n.spec.id] = {n.assigned, n.weight};
+      plan.txns.push_back(std::move(slots[i]));
     }
     for (const std::size_t eid : n.edges) {
       auto it = edges_.find(eid);
@@ -302,16 +304,6 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
   nodes_.erase(nodes_.begin(),
                nodes_.begin() + static_cast<std::ptrdiff_t>(count));
   first_id_ += count;
-
-  // Emit plans for real transactions only ("the schedulers discard these
-  // dummy requests when generating a push plan", §3.3). Dummies are never
-  // recorded in outstanding_, which identifies them here.
-  plan.txns.reserve(count);
-  for (auto& slot : slots) {
-    if (outstanding_.count(slot.txn) > 0) {
-      plan.txns.push_back(std::move(slot));
-    }
-  }
   return plan;
 }
 

@@ -134,16 +134,6 @@ void TGraph::AddTxn(const TxnSpec& spec) {
   }
 }
 
-void TGraph::OnCommitted(TxnId id) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return;
-  sink_weight_[it->second.first] -= it->second.second;
-  if (sink_weight_[it->second.first] < 0.0) {
-    sink_weight_[it->second.first] = 0.0;
-  }
-  outstanding_.erase(it);
-}
-
 void TGraph::Rehome(std::size_t new_n) {
   TPART_CHECK(new_n >= 1);
   TPART_CHECK(data_map_->num_partitions() >= new_n)

@@ -117,10 +117,6 @@ class TGraph {
   /// sinking-round number and must increase by one per call.
   SinkPlan Sink(std::size_t count, SinkEpoch epoch);
 
-  /// Engine feedback: transaction committed, so its weight no longer
-  /// counts toward its machine's sink-node weight (§3.1).
-  void OnCommitted(TxnId id);
-
   /// Elastic membership change at a sink-epoch cut: the data map has just
   /// advanced to a new version, and rounds from here on address `new_n`
   /// machines. Re-homes every live storage-read/storage-write edge to the
@@ -130,8 +126,7 @@ class TGraph {
   /// edges keep their holder: published epoch entries stay valid on the
   /// machine that published them, even one leaving the membership (it
   /// keeps serving residual pulls). The sink-weight vector only ever
-  /// grows — OnCommitted() for transactions sunk on a leaver before the
-  /// cut still indexes its slot.
+  /// grows, so a leaver's slot keeps the weight sunk on it before the cut.
   void Rehome(std::size_t new_n);
 
   // --- Introspection / partitioner interface -------------------------
@@ -147,9 +142,15 @@ class TGraph {
     return id >= first_id_ && id < first_id_ + nodes_.size();
   }
 
-  /// Sink-node weight of machine `m` (sunk-but-uncommitted load, §3.1).
+  /// Sink-node weight of machine `m`: the cumulative weight of every
+  /// real transaction sunk on it. §3.1 subtracts committed transactions
+  /// ("not committed yet"); no engine feeds commits back to the
+  /// scheduler, so in the runtime this only grows (DESIGN.md §1,
+  /// substitutions).
   double sink_weight(MachineId m) const { return sink_weight_[m]; }
-  /// Tests/benches may seed sink weights to model pre-existing load.
+  /// Overwrites machine `m`'s sink weight: the DES sets it to its
+  /// simulated uncommitted backlog before each transaction, and
+  /// tests/benches seed it to model pre-existing load.
   void set_sink_weight(MachineId m, double w) { sink_weight_[m] = w; }
 
   const TEdge& edge(std::size_t edge_id) const { return edges_.at(edge_id); }
@@ -259,8 +260,6 @@ class TGraph {
   FlatMap<std::pair<ObjectKey, TxnId>, CacheEntryState> cache_entries_;
 
   std::vector<double> sink_weight_;
-  // weight of sunk-but-uncommitted txns, per txn (for OnCommitted).
-  FlatMap<TxnId, std::pair<MachineId, double>> outstanding_;
 
   SinkEpoch last_epoch_ = 0;
 

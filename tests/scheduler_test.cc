@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "net/wire.h"
 #include "scheduler/plan_optimizer.h"
 #include "scheduler/tpart_scheduler.h"
+#include "sequencer/sequencer.h"
 #include "storage/data_partition.h"
+#include "workload/micro.h"
+#include "workload/tpcc.h"
 
 namespace tpart {
 namespace {
@@ -207,6 +211,75 @@ TEST(SchedulerTest, OptimizerReducesRemotePushesEndToEnd) {
   }
   sched.Drain();
   EXPECT_GT(sched.num_pushes_eliminated(), 0u);
+}
+
+// ---- Plan digest ------------------------------------------------------------
+
+// FNV-1a 64 over every round's EncodeSinkPlan bytes (each prefixed by its
+// length), with `workload` fed through Sequencer -> TPartScheduler the
+// way the runtime's admission and scheduler stages do.
+std::uint64_t PlanDigest(const Workload& workload, std::size_t* rounds) {
+  TPartScheduler::Options opts;
+  opts.graph.num_machines = workload.num_machines;
+  opts.graph.read_own_writes = true;  // the runtime's setting (§5.3)
+  TPartScheduler sched(opts, workload.partition_map);
+  Sequencer sequencer;
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&](const std::string& bytes) {
+    const std::uint64_t n = bytes.size();
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((n >> (8 * i)) & 0xff)) * 1099511628211ull;
+    }
+    for (const char c : bytes) {
+      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+  };
+  const auto feed = [&](const TxnBatch& batch) {
+    for (const SinkPlan& plan : sched.OnBatch(batch)) {
+      mix(EncodeSinkPlan(plan));
+      ++*rounds;
+    }
+  };
+  for (const TxnSpec& spec : workload.requests) {
+    sequencer.Submit(spec);
+    while (std::optional<TxnBatch> batch = sequencer.NextBatch()) feed(*batch);
+  }
+  if (sequencer.pending() > 0) feed(*sequencer.Flush());
+  for (const SinkPlan& plan : sched.Drain()) {
+    mix(EncodeSinkPlan(plan));
+    ++*rounds;
+  }
+  return h;
+}
+
+// Gate for planner refactors: the wire bytes of every sink plan must not
+// change. A change that alters any plan, however slightly, fails here; a
+// deliberate plan change must re-record the values and say why.
+TEST(PlanDigestTest, SeededTracesEncodeToRecordedPlanBytes) {
+  MicroOptions micro;
+  micro.num_machines = 4;
+  micro.records_per_machine = 2000;
+  micro.hot_set_size = 200;
+  micro.num_txns = 3000;
+  micro.seed = 7;
+  std::size_t micro_rounds = 0;
+  const std::uint64_t micro_digest =
+      PlanDigest(MakeMicroWorkload(micro), &micro_rounds);
+
+  TpccOptions tpcc;
+  tpcc.num_machines = 4;
+  tpcc.customers_per_district = 30;
+  tpcc.num_items = 1000;
+  tpcc.num_txns = 3000;
+  tpcc.seed = 7;
+  std::size_t tpcc_rounds = 0;
+  const std::uint64_t tpcc_digest =
+      PlanDigest(MakeTpccWorkload(tpcc), &tpcc_rounds);
+
+  EXPECT_EQ(micro_rounds, 30u);
+  EXPECT_EQ(micro_digest, 0xa6e4d04b5afa38faull);
+  EXPECT_EQ(tpcc_rounds, 30u);
+  EXPECT_EQ(tpcc_digest, 0x9c7fe18cdf1575acull);
 }
 
 }  // namespace

@@ -285,8 +285,6 @@ TEST_F(Figure3Test, DistributedCountAndSinkWeights) {
   // Sink weights accumulated: 4 txns on machine 0, 2 on machine 1 (§3.1).
   EXPECT_DOUBLE_EQ(graph_.sink_weight(0), 4.0);
   EXPECT_DOUBLE_EQ(graph_.sink_weight(1), 2.0);
-  graph_.OnCommitted(2);
-  EXPECT_DOUBLE_EQ(graph_.sink_weight(0), 3.0);
 }
 
 }  // namespace
